@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,20 +92,10 @@ class CampaignConfig:
         return configs
 
 
-_CONFIG_KEYS = {
-    "functions", "dimensions", "criteria", "instances", "repeats", "total_budget",
-    "initial_design_size", "base_seed", "workers", "output_dir", "mle_evals_per_param",
-}
-
-
-def campaign_config_from_mapping(mapping: dict) -> CampaignConfig:
-    unknown = sorted(set(mapping) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigParseError(f"unknown campaign keys {unknown}")
-    try:
-        return CampaignConfig(**mapping)
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(str(exc)) from None
+_CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
+# Settings that change how a campaign executes, never what its runs produce;
+# the manifest leaves them out.
+_EXECUTION_ONLY = ("workers", "output_dir")
 
 
 def load_campaign_config(path) -> CampaignConfig:
@@ -120,7 +110,13 @@ def load_campaign_config(path) -> CampaignConfig:
         raise ConfigParseError(f"config is not valid JSON: {exc}") from None
     if not isinstance(mapping, dict):
         raise ConfigParseError("config must be a JSON object")
-    return campaign_config_from_mapping(mapping)
+    unknown = sorted(set(mapping) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigParseError(f"unknown campaign keys {unknown}")
+    try:
+        return CampaignConfig(**mapping)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(str(exc)) from None
 
 
 def derive_run_seed(
@@ -235,19 +231,9 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
             }
         )
 
-    manifest = {
-        "campaign": {
-            "functions": list(config.functions),
-            "dimensions": list(config.dimensions),
-            "criteria": [c.value for c in config.criteria],
-            "instances": list(config.instances),
-            "repeats": config.repeats,
-            "total_budget": config.total_budget,
-            "initial_design_size": config.initial_design_size,
-            "base_seed": config.base_seed,
-            "mle_evals_per_param": config.mle_evals_per_param,
-        },
-        "runs": entries,
-    }
+    settings = asdict(config)
+    for name in _EXECUTION_ONLY:
+        del settings[name]
+    manifest = {"campaign": settings, "runs": entries}
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return result

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,6 @@ from .analysis import (
 )
 from .campaign import (
     ConfigParseError,
-    campaign_config_from_mapping,
     load_campaign_config,
     run_campaign,
 )
@@ -94,33 +94,10 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_campaign_config(args.config)
-    overrides = {}
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.base_seed is not None:
-        overrides["base_seed"] = args.base_seed
-    if args.total_budget is not None:
-        overrides["total_budget"] = args.total_budget
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if overrides:
-        mapping = {
-            "functions": config.functions,
-            "dimensions": config.dimensions,
-            "criteria": [c.value for c in config.criteria],
-            "instances": config.instances,
-            "repeats": config.repeats,
-            "total_budget": config.total_budget,
-            "initial_design_size": config.initial_design_size,
-            "base_seed": config.base_seed,
-            "workers": config.workers,
-            "output_dir": config.output_dir,
-            "mle_evals_per_param": config.mle_evals_per_param,
-        }
-        mapping.update(overrides)
-        config = campaign_config_from_mapping(mapping)
+    # Each override flag's destination is named after the CampaignConfig field it sets.
+    names = {f.name for f in dataclasses.fields(config)}
+    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    config = dataclasses.replace(config, **overrides)
     result = run_campaign(config, force=args.force)
     print(
         f"executed {len(result.executed)} run(s), skipped {len(result.skipped)} existing; "

@@ -3,15 +3,17 @@
 This is the single inner optimizer used both for hyperparameter likelihood
 search and for optimizing infill criteria over the search box. Selection is
 generation-synchronous: every trial in a generation is built from the previous
-population, then replacements happen in member order. Out-of-box trial
-components are clamped to the violated bound. The run consumes exactly
-``config.budget`` objective evaluations, stopping mid-generation if needed.
+population, then replacements happen in member order. The objective is
+batch-shaped: it maps an (m, d) array of points to m values, one call per
+generation. Out-of-box trial components are clamped to the violated bound.
+The run consumes exactly ``config.budget`` objective evaluations (one per
+row), stopping mid-generation if needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,16 +64,13 @@ def _sanitize(values: np.ndarray) -> np.ndarray:
 
 
 def minimize(
-    objective: Callable[[np.ndarray], float],
-    bounds: BoxBounds,
-    config: DEConfig,
-    batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    objective: Callable[[np.ndarray], np.ndarray], bounds: BoxBounds, config: DEConfig
 ) -> DEResult:
     """Minimize a black-box objective over a box; returns the best point evaluated.
 
-    ``batch_objective``, when given, evaluates an (m, d) array of points in one
-    call and must agree with ``objective`` row by row; each row still counts as
-    one evaluation. Results are deterministic for a fixed config.
+    ``objective`` evaluates an (m, d) array of points in one call and returns
+    m values; each row counts as one evaluation, and non-finite values are
+    replaced by NONFINITE_PENALTY. Deterministic for a fixed config.
     """
     rng = np.random.default_rng(config.seed)
     d = bounds.dimension
@@ -79,13 +78,8 @@ def minimize(
     weight = config.differential_weight
     cross = config.crossover_rate
 
-    def evaluate_block(points: np.ndarray) -> np.ndarray:
-        if batch_objective is not None:
-            return _sanitize(batch_objective(points))
-        return _sanitize([objective(p) for p in points])
-
     population = rng.uniform(bounds.lower, bounds.upper, size=(n_pop, d))
-    fitness = evaluate_block(population)
+    fitness = _sanitize(objective(population))
     evaluations = n_pop
 
     best_index = int(np.argmin(fitness))
@@ -107,7 +101,7 @@ def minimize(
         trials = np.where(mask, mutants, population)
 
         take = min(n_pop, config.budget - evaluations)
-        trial_fitness = evaluate_block(trials[:take])
+        trial_fitness = _sanitize(objective(trials[:take]))
         evaluations += take
 
         improved = trial_fitness <= fitness[:take]

@@ -83,18 +83,12 @@ def propose(
 
     if criterion is InfillCriterion.PREDICTED_VALUE:
 
-        def objective(x: np.ndarray) -> float:
-            return predict(model, x)[0]
-
-        def batch_objective(points: np.ndarray) -> np.ndarray:
+        def objective(points: np.ndarray) -> np.ndarray:
             return predict_batch(model, points)[0]
 
     else:
 
-        def objective(x: np.ndarray) -> float:
-            return -expected_improvement(model, x, y_best)
-
-        def batch_objective(points: np.ndarray) -> np.ndarray:
+        def objective(points: np.ndarray) -> np.ndarray:
             means, variances = predict_batch(model, points)
             return -improvement_from_moments(means, variances, y_best)
 
@@ -104,5 +98,4 @@ def propose(
         budget=MODEL_EVALS_PER_DIMENSION * d,
         seed=seed,
     )
-    result = de.minimize(objective, bounds, config, batch_objective=batch_objective)
-    return result.x_best
+    return de.minimize(objective, bounds, config).x_best

@@ -288,9 +288,9 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
     n_params = 2 * d + 1
     ws = _FitWorkspace(data.X, data.y)
 
-    def objective(vector: np.ndarray) -> float:
-        terms = _likelihood_terms(ws, *_decode(vector, d))
-        return PENALTY_NLL if terms is None else terms.nll
+    def objective(vectors: np.ndarray) -> np.ndarray:
+        terms = (_likelihood_terms(ws, *_decode(vector, d)) for vector in vectors)
+        return np.array([PENALTY_NLL if t is None else t.nll for t in terms])
 
     config = de.DEConfig(
         population_size=de.default_population_size(n_params),

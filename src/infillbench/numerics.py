@@ -8,37 +8,12 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-_SYMMETRY_RTOL = 1e-12
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class NotPositiveDefinite(Exception):
-    """Factorization failed; the caller may retry with a larger diagonal jitter."""
-
-
 class SingularMatrix(Exception):
     """A triangular solve hit a zero diagonal entry."""
-
-
-def cholesky(a: np.ndarray, check: bool = True) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == a.
-
-    With ``check`` enabled the input must be square and symmetric to within
-    1e-12 relative to its largest entry; violations are programming errors
-    and raise ValueError. Indefinite input raises NotPositiveDefinite.
-    """
-    a = np.asarray(a, dtype=float)
-    if check:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        if scale > 0.0 and float(np.abs(a - a.T).max()) > _SYMMETRY_RTOL * scale:
-            raise ValueError("matrix is not symmetric")
-    try:
-        return scipy.linalg.cholesky(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
 
 
 def solve_triangular(

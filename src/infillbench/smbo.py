@@ -86,10 +86,6 @@ class IterationRecord:
     model_nll: Optional[float]  # fitted likelihood value; None when no model was fit
     wall_time_ms: float
 
-    @property
-    def best_so_far(self) -> float:
-        return self.best_gap + (self.y - self.gap)
-
 
 @dataclass(frozen=True, eq=False)
 class RunLog:
@@ -97,10 +93,6 @@ class RunLog:
     f_opt: float
     records: tuple[IterationRecord, ...]
     degenerate_fallback: bool = False
-
-    @property
-    def best_gap_curve(self) -> np.ndarray:
-        return np.array([r.best_gap for r in self.records])
 
 
 def nearest_neighbor_distance(known: np.ndarray, x: np.ndarray) -> float:

@@ -103,6 +103,42 @@ class TestRunCommand:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_CONFIG
 
+    def test_zero_workers_override_is_config_error(self, tmp_path):
+        config = write_config(tmp_path, small_campaign(tmp_path))
+        assert main(["run", str(config), "--workers", "0"]) == EXIT_CONFIG
+        assert not (tmp_path / "runs").exists()
+
+    def test_overrides_reach_runs_and_manifest(self, tmp_path):
+        config = write_config(tmp_path, small_campaign(tmp_path, criteria=["pm", "random"]))
+        out_dir = tmp_path / "overridden"
+        argv = ["run", str(config), "--base-seed", "11", "--total-budget", "12",
+                "--repeats", "2", "--output-dir", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        assert not (tmp_path / "runs").exists()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        runs = manifest["runs"]
+        # 2 instances x 2 criteria, doubled by --repeats 2
+        assert len(runs) == 2 * 4
+        expected_seeds = sorted(
+            derive_run_seed(11, 3, 2, instance, criterion, repeat)
+            for instance in (1, 2)
+            for criterion in (InfillCriterion.PREDICTED_VALUE, InfillCriterion.RANDOM_SEARCH)
+            for repeat in (0, 1)
+        )
+        assert sorted(entry["seed"] for entry in runs) == expected_seeds
+        assert all(entry["total_budget"] == 12 for entry in runs)
+        assert manifest["campaign"] == {
+            "functions": [3],
+            "dimensions": [2],
+            "criteria": ["pm", "random"],
+            "instances": [1, 2],
+            "repeats": 2,
+            "total_budget": 12,
+            "initial_design_size": 10,
+            "base_seed": 11,
+            "mle_evals_per_param": 40,
+        }
+
     def test_worker_pool_matches_serial_execution(self, tmp_path):
         pool_dir, serial_dir = tmp_path / "pool", tmp_path / "serial"
         for workers, out_dir in ((2, pool_dir), (1, serial_dir)):

@@ -9,6 +9,11 @@ def sphere(x):
     return float(x @ x)
 
 
+def rowwise(f):
+    """Batch objective that applies the point objective f to each row."""
+    return lambda points: np.array([f(p) for p in points])
+
+
 class TestConfigValidation:
     def test_population_floor(self):
         with pytest.raises(ValueError):
@@ -21,7 +26,7 @@ class TestConfigValidation:
 
 class TestMinimize:
     def test_sphere_convergence(self):
-        result = minimize(sphere, BoxBounds.cube(2), DEConfig(20, 2000, seed=7))
+        result = minimize(rowwise(sphere), BoxBounds.cube(2), DEConfig(20, 2000, seed=7))
         assert result.f_best < 1e-6
         assert result.evaluations_used == 2000
 
@@ -32,15 +37,15 @@ class TestMinimize:
             calls.append(sphere(x))
             return calls[-1]
 
-        result = minimize(tracking, BoxBounds.cube(3), DEConfig(40, 40, seed=3))
+        result = minimize(rowwise(tracking), BoxBounds.cube(3), DEConfig(40, 40, seed=3))
         assert result.evaluations_used == 40
         assert len(calls) == 40
         assert result.f_best == min(calls)
 
     def test_deterministic(self):
         cfg = DEConfig(16, 500, seed=11)
-        a = minimize(sphere, BoxBounds.cube(4), cfg)
-        b = minimize(sphere, BoxBounds.cube(4), cfg)
+        a = minimize(rowwise(sphere), BoxBounds.cube(4), cfg)
+        b = minimize(rowwise(sphere), BoxBounds.cube(4), cfg)
         np.testing.assert_array_equal(a.x_best, b.x_best)
         assert a.f_best == b.f_best
 
@@ -52,7 +57,7 @@ class TestMinimize:
             count += 1
             return sphere(x)
 
-        result = minimize(counting, BoxBounds.cube(2), DEConfig(20, 73, seed=5))
+        result = minimize(rowwise(counting), BoxBounds.cube(2), DEConfig(20, 73, seed=5))
         assert count == 73
         assert result.evaluations_used == 73
 
@@ -63,7 +68,7 @@ class TestMinimize:
             seen.append((x.copy(), sphere(x)))
             return seen[-1][1]
 
-        result = minimize(tracking, BoxBounds.cube(2), DEConfig(10, 333, seed=9))
+        result = minimize(rowwise(tracking), BoxBounds.cube(2), DEConfig(10, 333, seed=9))
         values = [v for _, v in seen]
         assert result.f_best == min(values)
         best_x = seen[int(np.argmin(values))][0]
@@ -76,25 +81,14 @@ class TestMinimize:
             assert bounds.contains(x)
             return sphere(x)
 
-        minimize(checked, bounds, DEConfig(12, 400, seed=1))
+        minimize(rowwise(checked), bounds, DEConfig(12, 400, seed=1))
 
     def test_nonfinite_objective_penalized(self):
         def spiky(x):
             return np.inf if x[0] > 0 else float(x @ x)
 
-        result = minimize(spiky, BoxBounds.cube(2), DEConfig(10, 200, seed=2))
+        result = minimize(rowwise(spiky), BoxBounds.cube(2), DEConfig(10, 200, seed=2))
         assert np.isfinite(result.f_best)
-
-    def test_batch_objective_matches_scalar(self):
-        cfg = DEConfig(12, 300, seed=21)
-
-        def batch(points):
-            return np.array([sphere(p) for p in points])
-
-        a = minimize(sphere, BoxBounds.cube(3), cfg)
-        b = minimize(sphere, BoxBounds.cube(3), cfg, batch_objective=batch)
-        np.testing.assert_array_equal(a.x_best, b.x_best)
-        assert a.f_best == b.f_best
 
     def test_incumbent_monotone(self):
         best_curve = []
@@ -107,7 +101,7 @@ class TestMinimize:
             best_curve.append(best)
             return value
 
-        minimize(tracking, BoxBounds.cube(3), DEConfig(10, 500, seed=4))
+        minimize(rowwise(tracking), BoxBounds.cube(3), DEConfig(10, 500, seed=4))
         assert all(b <= a for a, b in zip(best_curve, best_curve[1:]))
 
     def test_convex_quadratic_success_rate(self):
@@ -123,6 +117,6 @@ class TestMinimize:
                 return float(delta @ delta)
 
             cfg = DEConfig(min(10 * d, 50), 1000 * d, seed=1000 + trial)
-            result = minimize(quad, BoxBounds.cube(d), cfg)
+            result = minimize(rowwise(quad), BoxBounds.cube(d), cfg)
             hits += result.f_best <= 1e-3
         assert hits >= 95

@@ -2,48 +2,11 @@ import numpy as np
 import pytest
 
 from infillbench.numerics import (
-    NotPositiveDefinite,
     SingularMatrix,
-    cholesky,
     solve_triangular,
     standard_normal_cdf,
     standard_normal_pdf,
 )
-
-
-class TestCholesky:
-    def test_identity(self):
-        np.testing.assert_array_equal(cholesky(np.eye(3)), np.eye(3))
-
-    def test_factor_reproduces_input(self):
-        a = np.array([[4.0, 2.0], [2.0, 3.0]])
-        l = cholesky(a)
-        np.testing.assert_allclose(l @ l.T, a, atol=1e-12)
-        assert np.allclose(np.triu(l, 1), 0.0)
-
-    def test_indefinite_raises(self):
-        # eigenvalues 3 and -1
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky(np.ones((2, 3)))
-
-    def test_random_spd_sweep(self):
-        # A'A + n*eps*I is SPD; factor and multiply back
-        rng = np.random.default_rng(7)
-        for n in (2, 5, 20, 80):
-            for _ in range(5):
-                a = rng.normal(size=(n, n))
-                spd = a.T @ a + n * 1e-10 * np.eye(n)
-                l = cholesky(spd)
-                err = np.abs(l @ l.T - spd).max()
-                assert err <= 1e-9 * np.abs(spd).max()
 
 
 class TestSolveTriangular:
