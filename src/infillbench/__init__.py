@@ -21,6 +21,7 @@ from .kriging import (
     KrigingModel,
     correlation,
     fit,
+    model_at,
     negative_log_likelihood,
     predict,
     predict_batch,
@@ -65,6 +66,7 @@ __all__ = [
     "list_suite",
     "make_instance",
     "minimize",
+    "model_at",
     "nearest_neighbor_distance",
     "negative_log_likelihood",
     "predict",

@@ -10,7 +10,6 @@ parent alone writes the manifest.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -22,7 +21,6 @@ from .kriging import LIKELIHOOD_EVALS_PER_PARAM
 from .smbo import RunConfig, run, run_log_filename, write_run_log
 from .testbed import UnknownFunction, list_suite
 
-WORKER_ENV_VAR = "INFILLBENCH_MAX_WORKERS"
 MANIFEST_NAME = "manifest.json"
 
 # Stable per-criterion codes for seed derivation; never reorder.
@@ -135,18 +133,6 @@ def derive_run_seed(
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def resolve_workers(requested: int) -> int:
-    """Requested worker count capped by the INFILLBENCH_MAX_WORKERS variable."""
-    cap = os.environ.get(WORKER_ENV_VAR)
-    if cap is None:
-        return max(1, requested)
-    try:
-        cap_value = int(cap)
-    except ValueError:
-        raise ConfigParseError(f"{WORKER_ENV_VAR} must be an integer, got {cap!r}") from None
-    return max(1, min(requested, cap_value))
-
-
 @dataclass
 class CampaignResult:
     manifest_path: Path
@@ -175,6 +161,7 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     Existing complete logs are skipped unless ``force``; their manifest
     entries are carried over from the previous manifest when available.
     """
+    plan = config.run_configs()  # invalid run settings fail before any I/O
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / MANIFEST_NAME
@@ -187,7 +174,6 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
         except (json.JSONDecodeError, KeyError, TypeError):
             previous_entries = {}
 
-    plan = config.run_configs()
     pending: list[RunConfig] = []
     result = CampaignResult(manifest_path=manifest_path)
     for run_config in plan:
@@ -198,10 +184,9 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
             pending.append(run_config)
 
     degenerate_flags: dict[str, bool] = {}
-    workers = resolve_workers(config.workers)
     payloads = [(run_config, str(out_dir)) for run_config in pending]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if config.workers > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             for filename, degenerate in pool.map(_execute_run, payloads):
                 degenerate_flags[filename] = degenerate
                 result.executed.append(filename)

@@ -26,7 +26,7 @@ where k is the correlation vector between x and the training points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -298,13 +298,22 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
         seed=seed,
     )
     result = de.minimize(objective, _mle_bounds(d), config)
+    del ws  # free the search workspace first, so a fit never holds two at once
 
-    theta, power, nugget = _decode(result.x_best, d)
-    terms = _likelihood_terms(ws, theta, power, nugget)
+    model = model_at(data, KrigingHyperparameters(*_decode(result.x_best, d)))
+    return replace(model, nll_evaluations=result.evaluations_used)
+
+
+def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
+    """The model conditioned on ``data`` at fixed hyperparameters.
+
+    The nugget escalates as in the likelihood search, and the model carries
+    the value that factored; DegenerateData if even NUGGET_MAX does not.
+    """
+    ws = _FitWorkspace(data.X, data.y)
+    terms = _likelihood_terms(ws, params.theta, params.power, params.nugget)
     if terms is None:
         raise DegenerateData("no positive definite correlation matrix found")
-    fitted = KrigingHyperparameters(theta, power, terms.nugget)
-
     # The workspace factor shares memory with the scratch matrix and carries a
     # stale upper triangle; keep a clean private copy on the model.
     chol = np.tril(terms.chol)
@@ -312,13 +321,12 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
     alpha = solve_triangular(chol, solve_triangular(chol, centered), transposed=True)
     return KrigingModel(
         data=data,
-        params=fitted,
+        params=replace(params, nugget=terms.nugget),
         chol=chol,
         alpha=alpha,
         mu_hat=terms.mu_hat,
         sigma2_hat=terms.sigma2_hat,
         neg_log_likelihood=terms.nll,
-        nll_evaluations=result.evaluations_used,
     )
 
 

@@ -16,10 +16,11 @@ independent across purposes and iterations.
 
 from __future__ import annotations
 
+import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -31,10 +32,6 @@ from .testbed import evaluate, make_instance
 _STREAM_DESIGN = 0
 _STREAM_FIT = 1
 _STREAM_PROPOSE = 2
-
-# Proposals this close (max-norm) to an evaluated point are duplicates in the
-# log's eyes; they are still evaluated and recorded, never silently replaced.
-DUPLICATE_PROPOSAL_TOL = 1.0e-8
 
 
 class EmptyArchive(Exception):
@@ -105,7 +102,11 @@ def nearest_neighbor_distance(known: np.ndarray, x: np.ndarray) -> float:
 
 
 def run(config: RunConfig) -> RunLog:
-    """Execute one complete run; the log has exactly total_budget records."""
+    """Execute one complete run; the log has exactly total_budget records.
+
+    A proposal that repeats an evaluated point is still evaluated and
+    recorded, never silently replaced.
+    """
     func = make_instance(config.function_id, config.dimension, config.instance_id)
     bounds = func.bounds
     budget = config.total_budget
@@ -178,9 +179,16 @@ def run(config: RunConfig) -> RunLog:
 
 # ---------------------------------------------------------------------------
 # Run log serialization: one CSV per run, floats at 17 significant digits so
-# values round-trip exactly. Missing nn_distance / model_nll become empty
-# fields. The file name encodes the run coordinates.
+# values round-trip exactly. Columns: iteration, x_1..x_d, then the other
+# IterationRecord fields in order; Optional ones may be empty. The file name
+# encodes the run coordinates.
 # ---------------------------------------------------------------------------
+
+_VALUE_COLUMNS = tuple(f.name for f in fields(IterationRecord) if f.name not in ("iteration", "x"))
+_BLANK_ALLOWED = frozenset(
+    name for name, hint in get_type_hints(IterationRecord).items() if type(None) in get_args(hint)
+)
+_LOG_NAME = re.compile(r"f(\d+)_d(\d+)_i(\d+)_(ei|pm|random)_s(\d+)\.csv")
 
 
 def run_log_filename(config: RunConfig) -> str:
@@ -194,70 +202,72 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else format(value, ".17g")
 
 
+def _x_columns(dimension: int) -> list[str]:
+    return [f"x_{i}" for i in range(1, dimension + 1)]
+
+
 def write_run_log(log: RunLog, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / run_log_filename(log.config)
-    d = log.config.dimension
-    header = (
-        ["iteration"]
-        + [f"x_{i}" for i in range(1, d + 1)]
-        + ["y", "gap", "best_gap", "nn_distance", "model_nll", "wall_time_ms"]
-    )
+    header = ["iteration", *_x_columns(log.config.dimension), *_VALUE_COLUMNS]
     lines = [",".join(header)]
     for r in log.records:
-        fields = (
-            [str(r.iteration)]
-            + [_fmt(v) for v in r.x]
-            + [_fmt(r.y), _fmt(r.gap), _fmt(r.best_gap), _fmt(r.nn_distance),
-               _fmt(r.model_nll), _fmt(r.wall_time_ms)]
-        )
-        lines.append(",".join(fields))
+        row = [str(r.iteration), *(_fmt(v) for v in r.x)]
+        row += [_fmt(getattr(r, name)) for name in _VALUE_COLUMNS]
+        lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def parse_run_log_filename(name: str) -> dict:
-    stem = name[:-4] if name.endswith(".csv") else name
-    parts = stem.split("_")
-    if len(parts) != 5 or not all(p[0] in "fdis" or p in {"ei", "pm", "random"} for p in parts):
+    match = _LOG_NAME.fullmatch(name)
+    if match is None:
         raise ValueError(f"not a run log file name: {name!r}")
+    function_id, dimension, instance_id, infill, seed = match.groups()
     return {
-        "function_id": int(parts[0][1:]),
-        "dimension": int(parts[1][1:]),
-        "instance_id": int(parts[2][1:]),
-        "infill": InfillCriterion(parts[3]),
-        "seed": int(parts[4][1:]),
+        "function_id": int(function_id),
+        "dimension": int(dimension),
+        "instance_id": int(instance_id),
+        "infill": InfillCriterion(infill),
+        "seed": int(seed),
     }
 
 
+def _parse_value(text: str, name: str) -> Optional[float]:
+    if not text and name in _BLANK_ALLOWED:
+        return None
+    return float(text)  # a blank required field raises ValueError here
+
+
 def read_run_log(path) -> RunLog:
-    """Parse a run CSV back into a RunLog.
+    """Parse a run CSV back into a RunLog, finding each column by its header name.
 
     The run coordinates come from the file name; loop settings that the CSV
     does not carry (initial design size, fit budget) keep their defaults.
     """
     path = Path(path)
     meta = parse_run_log_filename(path.name)
-    lines = path.read_text().strip().splitlines()
-    records: list[IterationRecord] = []
     d = meta["dimension"]
+    lines = path.read_text().strip().splitlines()
+    if len(lines) < 2:
+        raise ValueError(f"run log {path} has no records")
+    columns = {name: i for i, name in enumerate(lines[0].split(","))}
+    missing = [c for c in ("iteration", *_x_columns(d), *_VALUE_COLUMNS) if c not in columns]
+    if missing:
+        raise ValueError(f"run log {path} lacks columns {missing}")
+    records: list[IterationRecord] = []
     for line in lines[1:]:
         parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ValueError(f"run log {path} has a row of {len(parts)} fields, not {len(columns)}")
         records.append(
             IterationRecord(
-                iteration=int(parts[0]),
-                x=np.array([float(v) for v in parts[1 : 1 + d]]),
-                y=float(parts[1 + d]),
-                gap=float(parts[2 + d]),
-                best_gap=float(parts[3 + d]),
-                nn_distance=float(parts[4 + d]) if parts[4 + d] else None,
-                model_nll=float(parts[5 + d]) if parts[5 + d] else None,
-                wall_time_ms=float(parts[6 + d]),
+                iteration=int(parts[columns["iteration"]]),
+                x=np.array([float(parts[columns[c]]) for c in _x_columns(d)]),
+                **{c: _parse_value(parts[columns[c]], c) for c in _VALUE_COLUMNS},
             )
         )
-    if not records:
-        raise ValueError(f"run log {path} has no records")
     config = RunConfig(
         function_id=meta["function_id"],
         dimension=d,
@@ -273,12 +283,5 @@ def read_run_log(path) -> RunLog:
 
 def read_run_logs(directory) -> list[RunLog]:
     """All run logs in a directory, sorted by file name."""
-    directory = Path(directory)
-    logs = []
-    for path in sorted(directory.glob("*.csv")):
-        try:
-            parse_run_log_filename(path.name)
-        except ValueError:
-            continue
-        logs.append(read_run_log(path))
-    return logs
+    paths = sorted(Path(directory).glob("*.csv"))
+    return [read_run_log(path) for path in paths if _LOG_NAME.fullmatch(path.name)]

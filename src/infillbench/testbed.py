@@ -143,11 +143,6 @@ def list_suite() -> tuple[SuiteEntry, ...]:
     return _SUITE
 
 
-def base_function(function_id: int) -> Callable[[np.ndarray], float]:
-    """The untransformed landscape g with g(0) = 0, mainly for testing."""
-    return _suite_entry(function_id).base
-
-
 def _suite_entry(function_id: int) -> SuiteEntry:
     try:
         return _BY_ID[function_id]

@@ -24,9 +24,8 @@ from infillbench.campaign import CampaignConfig, run_campaign
 from infillbench.design import BoxBounds, latin_hypercube
 from infillbench.infill import InfillCriterion, improvement_from_moments
 from infillbench.kriging import Dataset, KrigingHyperparameters, correlation, fit, \
-    negative_log_likelihood, predict
+    model_at, negative_log_likelihood, predict
 from infillbench.smbo import RunConfig, read_run_logs, run
-from support import pinned_model
 
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
 BASE_SEED = 1
@@ -139,7 +138,7 @@ def test_criterion_2_kriging_dense_inverse_oracle():
         worst_nll = max(worst_nll, abs(negative_log_likelihood(data, params) - nll_ref))
         assert worst_nll <= 1e-8
 
-        model = pinned_model(data, params)
+        model = model_at(data, params)
         for _ in range(5):
             q = rng.uniform(-3.0, 3.0, d)
             mean, variance = predict(model, q)

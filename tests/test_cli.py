@@ -3,12 +3,10 @@ import json
 import pytest
 
 from infillbench.campaign import (
-    WORKER_ENV_VAR,
     CampaignConfig,
     ConfigParseError,
     derive_run_seed,
     load_campaign_config,
-    resolve_workers,
     run_campaign,
 )
 from infillbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
@@ -57,12 +55,6 @@ class TestCampaignConfig:
         assert seed == again
         assert seed != other
 
-    def test_worker_cap_env(self, monkeypatch):
-        monkeypatch.setenv(WORKER_ENV_VAR, "2")
-        assert resolve_workers(8) == 2
-        monkeypatch.delenv(WORKER_ENV_VAR)
-        assert resolve_workers(8) == 8
-
 
 class TestRunCommand:
     def test_campaign_cardinality_and_manifest(self, tmp_path):
@@ -107,6 +99,13 @@ class TestRunCommand:
         config = write_config(tmp_path, small_campaign(tmp_path))
         assert main(["run", str(config), "--workers", "0"]) == EXIT_CONFIG
         assert not (tmp_path / "runs").exists()
+
+    def test_budget_below_design_is_config_error_before_any_io(self, tmp_path):
+        config = write_config(tmp_path, small_campaign(tmp_path))
+        out_dir = tmp_path / "X"
+        argv = ["run", str(config), "--total-budget", "5", "--output-dir", str(out_dir)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out_dir.exists()
 
     def test_overrides_reach_runs_and_manifest(self, tmp_path):
         config = write_config(tmp_path, small_campaign(tmp_path, criteria=["pm", "random"]))
@@ -190,6 +189,17 @@ class TestAnalyzeCommand:
         main(["analyze", str(campaign_dir)])
         out = capsys.readouterr().out
         assert "d=2" in out
+
+    def test_stray_csv_names_are_skipped(self, campaign_dir, tmp_path):
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        for log in campaign_dir.glob("f*.csv"):
+            (mixed / log.name).write_bytes(log.read_bytes())
+        for stray in ("f1_d5__ei_s1.csv", "d2_f3_i1_ei_s5.csv"):
+            (mixed / stray).write_text("not a run log\n")
+        assert main(["analyze", str(mixed)]) == EXIT_OK
+        main(["analyze", str(campaign_dir)])
+        assert (mixed / "domination.csv").read_bytes() == (campaign_dir / "domination.csv").read_bytes()
 
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -7,11 +7,11 @@ from infillbench.kriging import (
     KrigingHyperparameters,
     correlation,
     fit,
+    model_at,
     negative_log_likelihood,
     predict,
     predict_batch,
 )
-from support import pinned_model as model_at
 
 
 def dense_reference(data, params):

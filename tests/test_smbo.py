@@ -8,6 +8,7 @@ from infillbench.smbo import (
     RunConfig,
     nearest_neighbor_distance,
     read_run_log,
+    parse_run_log_filename,
     run,
     run_log_filename,
     write_run_log,
@@ -195,6 +196,65 @@ class TestSerialization:
         second = write_run_log(run(cfg), tmp_path / "b").read_text()
 
         def strip_timing(text):
-            return ["," .join(line.split(",")[:-1]) for line in text.splitlines()]
+            rows = [line.split(",") for line in text.splitlines()]
+            timing = rows[0].index("wall_time_ms")
+            return [row[:timing] + row[timing + 1:] for row in rows]
 
         assert strip_timing(first) == strip_timing(second)
+
+    def test_malformed_names_rejected(self):
+        # an empty coordinate, and swapped coordinates
+        for name in ("f1_d5__ei_s1.csv", "d2_f3_i1_ei_s5.csv"):
+            with pytest.raises(ValueError):
+                parse_run_log_filename(name)
+
+
+def rewrite_log(path, edit):
+    """Apply edit(header_fields, rows_of_fields) to a run CSV in place."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    edit(header, rows)
+    path.write_text("\n".join(",".join(fields) for fields in [header, *rows]) + "\n")
+
+
+class TestReadRunLog:
+    @pytest.fixture
+    def log_path(self, tmp_path):
+        cfg = RunConfig(3, 2, 1, InfillCriterion.PREDICTED_VALUE,
+                        total_budget=12, initial_design_size=10, seed=8,
+                        mle_evals_per_param=20)
+        return write_run_log(run(cfg), tmp_path)
+
+    def test_columns_found_by_name(self, log_path):
+        original = read_run_log(log_path)
+
+        def reverse(header, rows):
+            for fields in [header, *rows]:
+                fields.reverse()
+
+        rewrite_log(log_path, reverse)
+        assert records_equal(original.records, read_run_log(log_path).records)
+
+    @pytest.mark.parametrize("column", ["y", "gap", "best_gap", "wall_time_ms"])
+    def test_blank_required_field_raises(self, log_path, column):
+        def blank(header, rows):
+            rows[3][header.index(column)] = ""
+
+        rewrite_log(log_path, blank)
+        with pytest.raises(ValueError):
+            read_run_log(log_path)
+
+    @pytest.mark.parametrize("column", ["x_2", "gap", "model_nll"])
+    def test_missing_column_raises(self, log_path, column):
+        def drop(header, rows):
+            i = header.index(column)
+            for fields in [header, *rows]:
+                del fields[i]
+
+        rewrite_log(log_path, drop)
+        with pytest.raises(ValueError):
+            read_run_log(log_path)
+
+    def test_short_row_raises(self, log_path):
+        rewrite_log(log_path, lambda header, rows: rows[-1].pop())
+        with pytest.raises(ValueError):
+            read_run_log(log_path)
