@@ -18,7 +18,7 @@ import numpy as np
 
 from .infill import InfillCriterion
 from .numerics import standard_normal_cdf
-from .smbo import RunLog
+from .smbo import RunLog, write_text_atomic
 
 DEFAULT_ALPHA = 0.05
 
@@ -338,7 +338,7 @@ def write_domination_csv(cells: Sequence[DominationCell], path) -> Path:
     lines = ["function_id,dimension,checkpoint,winner,p_value"]
     for c in cells:
         lines.append(f"{c.function_id},{c.dimension},{c.checkpoint},{c.winner},{_fmt(c.p_value)}")
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -358,7 +358,7 @@ def write_curves_csv(
                     f"{group},{checkpoint},{_fmt(curve.median[i])},"
                     f"{_fmt(curve.lower_quartile[i])},{_fmt(curve.upper_quartile[i])}"
                 )
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
     return path
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .infill import InfillCriterion
 from .kriging import LIKELIHOOD_EVALS_PER_PARAM
-from .smbo import RunConfig, run, run_log_filename, write_run_log
+from .smbo import RunConfig, run, run_log_filename, write_run_log, write_text_atomic
 from .testbed import UnknownFunction, list_suite
 
 MANIFEST_NAME = "manifest.json"
@@ -220,5 +220,5 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     for name in _EXECUTION_ONLY:
         del settings[name]
     manifest = {"campaign": settings, "runs": entries}
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return result

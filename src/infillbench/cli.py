@@ -27,7 +27,7 @@ from .campaign import (
     run_campaign,
 )
 from .kriging import DegenerateData
-from .smbo import read_run_logs
+from .smbo import MalformedRunLog, read_run_logs
 from .testbed import OutOfBounds, UnknownFunction, suite_manifest
 
 EXIT_OK = 0
@@ -141,12 +141,12 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_recommend(args)
+    except (UnknownFunction, OutOfBounds, DegenerateData, InsufficientRuns, EmptySample, MalformedRunLog) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (_UsageError, ConfigParseError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnknownFunction, OutOfBounds, DegenerateData, InsufficientRuns, EmptySample) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -35,9 +35,9 @@ import scipy.linalg
 
 from . import de
 from .design import BoxBounds
-from .numerics import solve_triangular
 
-# Raw LAPACK handles for the likelihood hot path (thousands of calls per fit).
+# Raw LAPACK handles for the likelihood hot path (thousands of calls per fit)
+# and for the solves of every prediction.
 _potrf, _trtrs = scipy.linalg.get_lapack_funcs(
     ("potrf", "trtrs"), (np.empty((1, 1), dtype=float),)
 )
@@ -143,8 +143,10 @@ class KrigingModel:
 
 # ---------------------------------------------------------------------------
 # Kernel arithmetic. All routes (scalar correlation, training matrix, query
-# vectors) share the same exp(p * log|delta|) formulation so they agree to the
-# last float; log(0) = -inf propagates to a clean |delta|^p = 0.
+# vectors) compute each term |delta_i|^p_i as exp(p_i * log|delta_i|), bit for
+# bit alike; log(0) = -inf propagates to a clean |delta|^p = 0. The sum over
+# dimensions is a matrix product whose rounding depends on the array shape, so
+# the routes agree to a few ulps, and exactly only at d = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -153,19 +155,11 @@ def _log_abs(diffs: np.ndarray) -> np.ndarray:
         return np.log(np.abs(diffs))
 
 
-def _weighted_distance(
-    log_abs_diffs: np.ndarray, theta: np.ndarray, power: np.ndarray
-) -> np.ndarray:
-    """sum_i theta_i |delta_i|^p_i along the last axis."""
-    powered = np.exp(log_abs_diffs * power)
-    return powered @ theta
-
-
 def correlation(x: np.ndarray, x2: np.ndarray, params: KrigingHyperparameters) -> float:
     """Kernel value in (0, 1]; exactly 1 at zero distance and symmetric."""
     x = np.asarray(x, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    return float(np.exp(-_weighted_distance(_log_abs(x - x2), params.theta, params.power)))
+    return float(np.exp(-(np.exp(_log_abs(x - x2) * params.power) @ params.theta)))
 
 
 class _FitWorkspace:
@@ -174,14 +168,16 @@ class _FitWorkspace:
     def __init__(self, X: np.ndarray, y: np.ndarray):
         n = X.shape[0]
         self.n = n
-        self.rows, self.cols = np.triu_indices(n, 1)
-        self.log_diffs = _log_abs(X[self.rows] - X[self.cols])  # (m, d)
+        rows, cols = np.triu_indices(n, 1)
+        self.log_diffs = _log_abs(X[rows] - X[cols])  # (m, d)
         self.rhs = np.column_stack([y, np.ones(n)])
-        self.y = y
         # Fortran order lets LAPACK factor in place; only the lower triangle
-        # is ever filled, which is all potrf/trtrs read.
+        # is ever filled, which is all potrf/trtrs read. It is written through
+        # a flat view: entry (i, j) sits at i + j*n.
         self.matrix = np.zeros((n, n), order="F")
-        self.diag = np.diag_indices(n)
+        self.flat = self.matrix.reshape(-1, order="F")
+        self.lower_flat = cols + rows * n
+        self.diag_flat = np.arange(n) * (n + 1)
         self.powered = np.empty_like(self.log_diffs)
 
 
@@ -213,8 +209,8 @@ def _likelihood_terms(
     while True:
         # In-place factorization destroys the lower triangle, so every
         # attempt rebuilds it from the correlation vector first.
-        ws.matrix[ws.cols, ws.rows] = corr
-        ws.matrix[ws.diag] = 1.0 + nugget
+        ws.flat[ws.lower_flat] = corr
+        ws.flat[ws.diag_flat] = 1.0 + nugget
         lower, info = _potrf(ws.matrix, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             break
@@ -304,6 +300,12 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
     return replace(model, nll_evaluations=result.evaluations_used)
 
 
+def solve_triangular(chol: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """Solve chol @ x = b, or chol.T @ x = b when ``transposed``, for a model's lower factor."""
+    # LAPACK reads the C-ordered chol in place as the Fortran-ordered upper factor chol.T.
+    return _trtrs(chol.T, b, lower=0, trans=0 if transposed else 1)[0]
+
+
 def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
     """The model conditioned on ``data`` at fixed hyperparameters.
 
@@ -332,9 +334,14 @@ def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
 
 def _query_correlations(model: KrigingModel, points: np.ndarray) -> np.ndarray:
     """Correlation matrix (m, n) between query points and training points."""
-    diffs = points[:, None, :] - model.data.X[None, :, :]
-    weighted = _weighted_distance(_log_abs(diffs), model.params.theta, model.params.power)
-    return np.exp(-weighted)
+    # One (m, n, d) buffer, transformed in place. The contraction stays on this 3-D
+    # shape: a (m*n, d) or (d, m, n) layout rounds differently at d=10.
+    buf = points[:, None, :] - model.data.X[None, :, :]
+    with np.errstate(divide="ignore"):
+        np.log(np.abs(buf, out=buf), out=buf)
+    np.exp(np.multiply(buf, model.params.power, out=buf), out=buf)
+    corr = buf @ model.params.theta
+    return np.exp(np.negative(corr, out=corr), out=corr)
 
 
 def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ independent across purposes and iterations.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from dataclasses import dataclass, fields
@@ -36,6 +37,10 @@ _STREAM_PROPOSE = 2
 
 class EmptyArchive(Exception):
     """Nearest-neighbor distance is undefined without evaluated points."""
+
+
+class MalformedRunLog(ValueError):
+    """A run log file whose contents cannot be parsed, such as a truncated one."""
 
 
 def substream_seed(run_seed: int, stream: int, iteration: int = 0) -> int:
@@ -206,6 +211,17 @@ def _x_columns(dimension: int) -> list[str]:
     return [f"x_{i}" for i in range(1, dimension + 1)]
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by ``text`` via a temp file beside it: no partial file, even on failure."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_run_log(log: RunLog, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -216,7 +232,7 @@ def write_run_log(log: RunLog, directory) -> Path:
         row = [str(r.iteration), *(_fmt(v) for v in r.x)]
         row += [_fmt(getattr(r, name)) for name in _VALUE_COLUMNS]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -237,7 +253,7 @@ def parse_run_log_filename(name: str) -> dict:
 def _parse_value(text: str, name: str) -> Optional[float]:
     if not text and name in _BLANK_ALLOWED:
         return None
-    return float(text)  # a blank required field raises ValueError here
+    return float(text)
 
 
 def read_run_log(path) -> RunLog:
@@ -251,31 +267,28 @@ def read_run_log(path) -> RunLog:
     d = meta["dimension"]
     lines = path.read_text().strip().splitlines()
     if len(lines) < 2:
-        raise ValueError(f"run log {path} has no records")
+        raise MalformedRunLog(f"run log {path} has no records")
     columns = {name: i for i, name in enumerate(lines[0].split(","))}
     missing = [c for c in ("iteration", *_x_columns(d), *_VALUE_COLUMNS) if c not in columns]
     if missing:
-        raise ValueError(f"run log {path} lacks columns {missing}")
+        raise MalformedRunLog(f"run log {path} lacks columns {missing}")
     records: list[IterationRecord] = []
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(columns):
-            raise ValueError(f"run log {path} has a row of {len(parts)} fields, not {len(columns)}")
-        records.append(
-            IterationRecord(
-                iteration=int(parts[columns["iteration"]]),
-                x=np.array([float(parts[columns[c]]) for c in _x_columns(d)]),
-                **{c: _parse_value(parts[columns[c]], c) for c in _VALUE_COLUMNS},
+            raise MalformedRunLog(f"run log {path} has a row of {len(parts)} fields, not {len(columns)}")
+        try:
+            records.append(
+                IterationRecord(
+                    iteration=int(parts[columns["iteration"]]),
+                    x=np.array([float(parts[columns[c]]) for c in _x_columns(d)]),
+                    **{c: _parse_value(parts[columns[c]], c) for c in _VALUE_COLUMNS},
+                )
             )
-        )
+        except ValueError as exc:  # a blank required field or a number cut short
+            raise MalformedRunLog(f"run log {path}: {exc}") from exc
     config = RunConfig(
-        function_id=meta["function_id"],
-        dimension=d,
-        instance_id=meta["instance_id"],
-        infill=meta["infill"],
-        total_budget=len(records),
-        initial_design_size=min(10, len(records) - 1),
-        seed=meta["seed"],
+        **meta, total_budget=len(records), initial_design_size=min(10, len(records) - 1)
     )
     f_opt = records[0].y - records[0].gap
     return RunLog(config=config, f_opt=f_opt, records=tuple(records))

@@ -201,6 +201,18 @@ class TestAnalyzeCommand:
         main(["analyze", str(campaign_dir)])
         assert (mixed / "domination.csv").read_bytes() == (campaign_dir / "domination.csv").read_bytes()
 
+    def test_truncated_log_is_data_error(self, campaign_dir, tmp_path, capsys):
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        for log in campaign_dir.glob("f*.csv"):
+            (cut / log.name).write_bytes(log.read_bytes())
+        victim = sorted(cut.glob("*.csv"))[0]
+        text = victim.read_text()
+        victim.write_text(text[: text.rindex(",")])  # the last row ends mid-field
+        capsys.readouterr()
+        assert main(["analyze", str(cut)]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -11,6 +11,7 @@ from infillbench.kriging import (
     negative_log_likelihood,
     predict,
     predict_batch,
+    solve_triangular,
 )
 
 
@@ -250,6 +251,25 @@ class TestPredict:
         far_away = predict(model, np.array([4.5]))[1]
         assert at_training <= far_away
 
+    @pytest.mark.parametrize("m", [1, 7, 50])
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_batch_means_bit_identical_to_unbuffered_kernel(self, d, m):
+        # the in-place query kernel must round exactly like the plain formula,
+        # so the trajectories it drives stay bit for bit the same
+        rng = np.random.default_rng(100 * d + m)
+        data = smooth_dataset(rng, 38, d)  # BLAS takes rows 4 at a time; 2 are left, as at n=150
+        params = KrigingHyperparameters(
+            10.0 ** rng.uniform(-1.5, 0.0, d) / d, rng.uniform(0.5, 2.0, d), 1e-6
+        )
+        model = model_at(data, params)
+        P = rng.uniform(-3.0, 3.0, (m, d))
+        P[0] = data.X[0]  # a zero distance takes the log(0) = -inf route
+        X, theta, p = data.X, params.theta, params.power
+        with np.errstate(divide="ignore"):
+            K = np.exp(-(np.exp(np.log(np.abs(P[:, None] - X[None])) * p) @ theta))
+        means, _ = predict_batch(model, P)
+        np.testing.assert_array_equal(means, model.mu_hat + K @ model.alpha)
+
     def test_batch_matches_scalar(self):
         # multi-column triangular solves block differently inside LAPACK, so
         # the variance can differ from the one-point path in the last ulps
@@ -261,3 +281,31 @@ class TestPredict:
             mean, variance = predict(model, q)
             np.testing.assert_allclose(mean, means[i], rtol=1e-13)
             np.testing.assert_allclose(variance, variances[i], rtol=1e-12, atol=1e-15)
+
+
+class TestSolveTriangular:
+    def test_identity(self):
+        np.testing.assert_array_equal(
+            solve_triangular(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0]
+        )
+
+    def test_substitution(self):
+        l = np.array([[2.0, 0.0], [1.0, 1.0]])
+        x = solve_triangular(l, np.array([4.0, 3.0]))
+        np.testing.assert_allclose(x, [2.0, 1.0])
+        np.testing.assert_allclose(l @ x, [4.0, 3.0], rtol=1e-12)
+
+    def test_transposed(self):
+        l = np.array([[2.0, 0.0], [1.0, 3.0]])
+        b = np.array([5.0, 6.0])
+        x = solve_triangular(l, b, transposed=True)
+        np.testing.assert_allclose(l.T @ x, b, rtol=1e-12)
+
+    def test_multiply_back_well_conditioned(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 17, 64, 200):
+            l = np.tril(rng.uniform(-1.0, 1.0, (n, n)))
+            l[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n)
+            b = rng.normal(size=n)
+            x = solve_triangular(l, b)
+            assert np.abs(l @ x - b).max() <= 1e-9 * np.abs(b).max()

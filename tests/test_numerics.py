@@ -1,44 +1,6 @@
 import numpy as np
-import pytest
 
-from infillbench.numerics import (
-    SingularMatrix,
-    solve_triangular,
-    standard_normal_cdf,
-    standard_normal_pdf,
-)
-
-
-class TestSolveTriangular:
-    def test_identity(self):
-        np.testing.assert_array_equal(
-            solve_triangular(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0]
-        )
-
-    def test_substitution(self):
-        l = np.array([[2.0, 0.0], [1.0, 1.0]])
-        x = solve_triangular(l, np.array([4.0, 3.0]))
-        np.testing.assert_allclose(x, [2.0, 1.0])
-        np.testing.assert_allclose(l @ x, [4.0, 3.0], rtol=1e-12)
-
-    def test_transposed(self):
-        l = np.array([[2.0, 0.0], [1.0, 3.0]])
-        b = np.array([5.0, 6.0])
-        x = solve_triangular(l, b, transposed=True)
-        np.testing.assert_allclose(l.T @ x, b, rtol=1e-12)
-
-    def test_zero_diagonal_raises(self):
-        with pytest.raises(SingularMatrix):
-            solve_triangular(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
-
-    def test_multiply_back_well_conditioned(self):
-        rng = np.random.default_rng(11)
-        for n in (3, 17, 64, 200):
-            l = np.tril(rng.uniform(-1.0, 1.0, (n, n)))
-            l[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n)
-            b = rng.normal(size=n)
-            x = solve_triangular(l, b)
-            assert np.abs(l @ x - b).max() <= 1e-9 * np.abs(b).max()
+from infillbench.numerics import standard_normal_cdf, standard_normal_pdf
 
 
 class TestStandardNormal:

@@ -1,10 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 import infillbench.smbo as smbo_module
+from infillbench.analysis import write_curves_csv, write_domination_csv
+from infillbench.campaign import CampaignConfig, run_campaign
 from infillbench.infill import InfillCriterion
 from infillbench.smbo import (
     EmptyArchive,
+    MalformedRunLog,
     RunConfig,
     nearest_neighbor_distance,
     read_run_log,
@@ -12,6 +17,7 @@ from infillbench.smbo import (
     run,
     run_log_filename,
     write_run_log,
+    write_text_atomic,
 )
 
 
@@ -240,7 +246,7 @@ class TestReadRunLog:
             rows[3][header.index(column)] = ""
 
         rewrite_log(log_path, blank)
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedRunLog):
             read_run_log(log_path)
 
     @pytest.mark.parametrize("column", ["x_2", "gap", "model_nll"])
@@ -251,10 +257,65 @@ class TestReadRunLog:
                 del fields[i]
 
         rewrite_log(log_path, drop)
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedRunLog):
             read_run_log(log_path)
 
     def test_short_row_raises(self, log_path):
         rewrite_log(log_path, lambda header, rows: rows[-1].pop())
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedRunLog):
             read_run_log(log_path)
+
+    def test_number_cut_short_raises(self, log_path):
+        def cut(header, rows):
+            rows[2][header.index("y")] = "1.5e"
+
+        rewrite_log(log_path, cut)
+        with pytest.raises(MalformedRunLog):
+            read_run_log(log_path)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):  # fails inside the write itself
+            write_text_atomic(path, "new\n\udc80")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_new_text_replaces_old(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        write_text_atomic(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("writer", ["run_log", "domination_csv", "curves_csv", "manifest"])
+    def test_every_writer_survives_a_failed_replace(self, writer, tmp_path, monkeypatch):
+        # the temp file is fully written, then the final rename fails
+        random_run = RunConfig(1, 2, 1, InfillCriterion.RANDOM_SEARCH, total_budget=12)
+        campaign = CampaignConfig(
+            functions=(1,), dimensions=(2,), criteria=("random",), instances=(1,),
+            total_budget=12, output_dir=str(tmp_path),
+        )
+        write, path = {
+            "run_log": (lambda: write_run_log(run(random_run), tmp_path),
+                        tmp_path / run_log_filename(random_run)),
+            "domination_csv": (lambda: write_domination_csv([], tmp_path / "d.csv"), tmp_path / "d.csv"),
+            "curves_csv": (lambda: write_curves_csv({}, tmp_path / "c.csv"), tmp_path / "c.csv"),
+            # the rerun skips the complete log, so only the manifest is written
+            "manifest": (lambda: run_campaign(campaign), tmp_path / "manifest.json"),
+        }[writer]
+        write()
+        before = sorted(tmp_path.iterdir())
+        old = path.read_bytes()
+        path.write_bytes(old + b"marker")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        assert path.read_bytes() == old + b"marker"
+        assert sorted(tmp_path.iterdir()) == before
