@@ -94,6 +94,10 @@ _CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
 # Settings that change how a campaign executes, never what its runs produce;
 # the manifest leaves them out.
 _EXECUTION_ONLY = ("workers", "output_dir")
+# Run settings that a log's file name does not encode (the seed covers the
+# rest). Each manifest entry records them, and a log is reused only when they
+# match; entries written before they were recorded take the campaign block's.
+_UNNAMED_SETTINGS = ("total_budget", "initial_design_size", "mle_evals_per_param")
 
 
 def load_campaign_config(path) -> CampaignConfig:
@@ -158,8 +162,9 @@ def _execute_run(payload: tuple[RunConfig, str]) -> tuple[str, bool]:
 def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     """Execute a campaign, writing one CSV per run plus ``manifest.json``.
 
-    Existing complete logs are skipped unless ``force``; their manifest
-    entries are carried over from the previous manifest when available.
+    Existing complete logs are skipped unless ``force``, provided the previous
+    manifest shows they were made with this campaign's run settings; their
+    entries are carried over from it.
     """
     plan = config.run_configs()  # invalid run settings fail before any I/O
     out_dir = Path(config.output_dir)
@@ -170,7 +175,11 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     if manifest_path.is_file():
         try:
             previous = json.loads(manifest_path.read_text())
-            previous_entries = {entry["file"]: entry for entry in previous.get("runs", [])}
+            settings = previous["campaign"]
+            previous_entries = {
+                entry["file"]: {**{key: settings[key] for key in _UNNAMED_SETTINGS}, **entry}
+                for entry in previous["runs"]
+            }
         except (json.JSONDecodeError, KeyError, TypeError):
             previous_entries = {}
 
@@ -178,7 +187,11 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     result = CampaignResult(manifest_path=manifest_path)
     for run_config in plan:
         filename = run_log_filename(run_config)
-        if not force and _log_is_complete(out_dir / filename, config.total_budget):
+        previous_entry = previous_entries.get(filename, {})
+        made_alike = all(
+            previous_entry.get(key) == getattr(run_config, key) for key in _UNNAMED_SETTINGS
+        )
+        if not force and made_alike and _log_is_complete(out_dir / filename, config.total_budget):
             result.skipped.append(filename)
         else:
             pending.append(run_config)
@@ -211,8 +224,8 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
                 "instance_id": run_config.instance_id,
                 "criterion": run_config.infill.value,
                 "seed": run_config.seed,
-                "total_budget": run_config.total_budget,
                 "degenerate_fallback": degenerate,
+                **{key: getattr(run_config, key) for key in _UNNAMED_SETTINGS},
             }
         )
 

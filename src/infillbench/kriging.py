@@ -22,6 +22,9 @@ Prediction at a query point x uses
     variance = sigma2_hat * (1 + lambda - k' C^-1 k)    (clamped at zero)
 
 where k is the correlation vector between x and the training points.
+
+The likelihood search runs under ``numerics.flush_subnormals`` (a faster
+Cholesky, the same likelihood bits); models and predictions do not.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import scipy.linalg
 
 from . import de
 from .design import BoxBounds
+from .numerics import flush_subnormals
 
 # Raw LAPACK handles for the likelihood hot path (thousands of calls per fit)
 # and for the solves of every prediction.
@@ -293,7 +297,8 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
         budget=evals_per_param * n_params,
         seed=seed,
     )
-    result = de.minimize(objective, _mle_bounds(d), config)
+    with flush_subnormals():
+        result = de.minimize(objective, _mle_bounds(d), config)
     del ws  # free the search workspace first, so a fit never holds two at once
 
     model = model_at(data, KrigingHyperparameters(*_decode(result.x_best, d)))

@@ -75,6 +75,36 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "executed 0 run(s), skipped 4" in out
 
+    def test_changed_run_settings_reexecute_and_manifest_is_truthful(self, tmp_path, capsys):
+        first = small_campaign(tmp_path, mle_evals_per_param=20, initial_design_size=10)
+        main(["run", str(write_config(tmp_path, first))])
+        capsys.readouterr()
+        second = small_campaign(tmp_path, mle_evals_per_param=50, initial_design_size=5)
+        assert main(["run", str(write_config(tmp_path, second))]) == EXIT_OK
+        assert "executed 4 run(s), skipped 0" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "runs" / "manifest.json").read_text())
+        for entry in manifest["runs"]:
+            assert (entry["mle_evals_per_param"], entry["initial_design_size"]) == (50, 5)
+        assert manifest["campaign"]["mle_evals_per_param"] == 50
+        assert manifest["campaign"]["initial_design_size"] == 5
+
+    def test_entries_without_settings_fall_back_to_campaign_block(self, tmp_path, capsys):
+        config = write_config(tmp_path, small_campaign(tmp_path))
+        main(["run", str(config)])
+        manifest_path = tmp_path / "runs" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["runs"]:
+            del entry["initial_design_size"], entry["mle_evals_per_param"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        main(["run", str(config)])
+        assert "executed 0 run(s), skipped 4" in capsys.readouterr().out
+        assert all("mle_evals_per_param" in e for e in json.loads(manifest_path.read_text())["runs"])
+        manifest["campaign"]["mle_evals_per_param"] = 41
+        manifest_path.write_text(json.dumps(manifest))
+        main(["run", str(config)])
+        assert "executed 4 run(s), skipped 0" in capsys.readouterr().out
+
     def test_force_reruns(self, tmp_path, capsys):
         config = write_config(tmp_path, small_campaign(tmp_path))
         main(["run", str(config)])

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from infillbench.design import latin_hypercube
 from infillbench.kriging import (
+    NUGGET_LOG10_BOUNDS,
+    POWER_BOUNDS,
+    THETA_LOG10_BOUNDS,
     Dataset,
     DegenerateData,
     KrigingHyperparameters,
@@ -13,6 +17,8 @@ from infillbench.kriging import (
     predict_batch,
     solve_triangular,
 )
+from infillbench.numerics import flush_subnormals
+from infillbench.testbed import evaluate, make_instance
 
 
 def dense_reference(data, params):
@@ -119,6 +125,32 @@ class TestNegativeLogLikelihood:
         with pytest.raises(DegenerateData):
             negative_log_likelihood(Dataset(np.array([[0.0]]), np.array([1.0])),
                                     KrigingHyperparameters([1.0], [2.0], 1e-6))
+
+    def test_bit_identical_with_subnormals_flushed(self):
+        # Uniform draws from the fit's search box on f13 designs; large theta
+        # drives correlations, and then the Cholesky factor, into subnormals.
+        draws, with_subnormals = 100, {}
+        for d, n in [(2, 150), (5, 100), (10, 60)]:
+            f = make_instance(13, d, 1)
+            X = latin_hypercube(n, f.bounds, seed=d)
+            data = Dataset(X, [evaluate(f, x) for x in X])
+            with np.errstate(divide="ignore"):
+                log_diffs = np.log(np.abs(X[:, None] - X[None]))
+            rng = np.random.default_rng(d)
+            with_subnormals[d] = 0
+            for _ in range(draws):
+                params = KrigingHyperparameters(
+                    10.0 ** rng.uniform(*THETA_LOG10_BOUNDS, d),
+                    rng.uniform(*POWER_BOUNDS, d),
+                    float(10.0 ** rng.uniform(*NUGGET_LOG10_BOUNDS)),
+                )
+                corr = np.exp(-(np.exp(log_diffs * params.power) @ params.theta))
+                with_subnormals[d] += bool(np.any((corr > 0.0) & (corr < np.finfo(float).tiny)))
+                plain = negative_log_likelihood(data, params)
+                with flush_subnormals():
+                    assert negative_log_likelihood(data, params) == plain
+        assert min(with_subnormals.values()) > 0
+        assert sum(with_subnormals.values()) >= 3 * draws // 4
 
 
 class TestFit:

@@ -1,6 +1,12 @@
-import numpy as np
+import platform
 
-from infillbench.numerics import standard_normal_cdf, standard_normal_pdf
+import numpy as np
+import pytest
+
+from infillbench.numerics import flush_subnormals, standard_normal_cdf, standard_normal_pdf
+
+FLUSH_SUPPORTED = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
+SUBNORMAL_EXP = -720.0  # exp(-720) ~ 2e-313 lies below the smallest normal double
 
 
 class TestStandardNormal:
@@ -32,3 +38,31 @@ class TestStandardNormal:
     def test_pdf_even(self):
         z = np.linspace(0.0, 20.0, 500)
         np.testing.assert_array_equal(standard_normal_pdf(z), standard_normal_pdf(-z))
+
+
+@pytest.mark.skipif(not FLUSH_SUPPORTED, reason="the flush acts on x86-64 glibc only")
+class TestFlushSubnormals:
+    def test_flushes_inside_the_block(self):
+        assert np.exp(SUBNORMAL_EXP) > 0.0
+        with flush_subnormals():
+            assert np.exp(SUBNORMAL_EXP) == 0.0
+        assert np.exp(SUBNORMAL_EXP) > 0.0
+
+    def test_restored_after_an_exception(self):
+        with pytest.raises(KeyError):
+            with flush_subnormals():
+                raise KeyError("inside")
+        assert np.exp(SUBNORMAL_EXP) > 0.0
+
+    def test_nested_blocks_restore_the_outer_mode(self):
+        with flush_subnormals():
+            with flush_subnormals():
+                assert np.exp(SUBNORMAL_EXP) == 0.0
+            assert np.exp(SUBNORMAL_EXP) == 0.0
+        assert np.exp(SUBNORMAL_EXP) > 0.0
+
+
+@pytest.mark.skipif(FLUSH_SUPPORTED, reason="the flush is active on this platform")
+def test_flush_is_a_no_op_elsewhere():
+    with flush_subnormals():
+        assert np.exp(SUBNORMAL_EXP) > 0.0

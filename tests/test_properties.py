@@ -46,6 +46,20 @@ def model_cases(draw):
     return Dataset(X, y), draw(kernel_params(d)), queries
 
 
+@st.composite
+def separated_model_cases(draw):
+    # distinct cells of a 0.5-spaced grid, jittered by at most 0.1, so every
+    # pair of training points lies at least 0.4 apart in some coordinate
+    d = draw(st.integers(1, 4))
+    cell = st.tuples(*[st.integers(-2, 2)] * d)
+    cells = draw(st.lists(cell, min_size=3, max_size=min(12, 5**d), unique=True))
+    jitter = draw(points(d, len(cells)))
+    X = 0.5 * np.array(cells, dtype=float) + 0.05 * (jitter + 1.0)
+    seed = draw(st.integers(0, 2**32 - 1))
+    y = np.random.default_rng(seed).normal(size=len(cells))
+    return Dataset(X, y), draw(kernel_params(d))
+
+
 @SETTINGS
 @given(kernel_cases())
 def test_kernel_symmetric_in_unit_interval_and_one_at_zero(case):
@@ -70,6 +84,22 @@ def test_batch_variances_nonnegative_and_match_single_point_predictions(case):
         single_mean, single_variance = predict(model, query)
         assert abs(single_mean - mean) <= 1e-9 * (1.0 + abs(mean))
         assert abs(single_variance - variance) <= 1e-9 * scale
+
+
+@SETTINGS
+@given(separated_model_cases())
+def test_prediction_interpolates_training_data_up_to_the_nugget(case):
+    data, params = case
+    model = model_at(data, params)
+    nugget = model.params.nugget  # the value that factored, after any escalation
+    means, variances = predict_batch(model, data.X)
+    # With C = K + nugget*I, k_i' C^-1 r = r_i - nugget * alpha_i exactly, so
+    # mean_i - y_i = -nugget * alpha_i up to rounding on the scale of the sums.
+    scale = abs(model.mu_hat) + np.abs(data.y) + np.abs(model.alpha).sum()
+    assert np.all(np.abs(means - data.y + nugget * model.alpha) <= 1e-9 * scale)
+    # 1 + nugget - k_i' C^-1 k_i = 2 nugget - nugget^2 (C^-1)_ii, in [nugget, 2 nugget)
+    assert np.all(variances >= 0.0)
+    assert np.all(variances <= (2.0 * nugget + 1e-10) * model.sigma2_hat)
 
 
 @SETTINGS
