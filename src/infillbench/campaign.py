@@ -3,8 +3,9 @@
 A campaign is the cross product (functions x dimensions x instances x
 criteria x repeats); each cell becomes one run with a seed derived from the
 campaign's base seed, one CSV log, and one manifest entry. Re-running skips
-logs that already exist unless forced. Runs execute on a process pool; the
-parent alone writes the manifest.
+complete logs that the manifest shows were made with the same settings,
+unless forced. Runs execute on a process pool; the parent alone writes the
+manifest, after every finished run.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ _CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
 # the manifest leaves them out.
 _EXECUTION_ONLY = ("workers", "output_dir")
 # Run settings that a log's file name does not encode (the seed covers the
-# rest). Each manifest entry records them, and a log is reused only when they
-# match; entries written before they were recorded take the campaign block's.
-_UNNAMED_SETTINGS = ("total_budget", "initial_design_size", "mle_evals_per_param")
+# rest, and a complete log's row count its budget). Each manifest entry
+# records them, and a log is reused only when they match; entries written
+# before they were recorded take the campaign block's.
+_UNNAMED_SETTINGS = ("initial_design_size", "mle_evals_per_param")
 
 
 def load_campaign_config(path) -> CampaignConfig:
@@ -164,7 +166,8 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
 
     Existing complete logs are skipped unless ``force``, provided the previous
     manifest shows they were made with this campaign's run settings; their
-    entries are carried over from it.
+    entries are carried over from it. The manifest is rewritten after every
+    finished run, so an interrupted campaign resumes where it stopped.
     """
     plan = config.run_configs()  # invalid run settings fail before any I/O
     out_dir = Path(config.output_dir)
@@ -183,55 +186,58 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
         except (json.JSONDecodeError, KeyError, TypeError):
             previous_entries = {}
 
+    settings = asdict(config)
+    for name in _EXECUTION_ONLY:
+        del settings[name]
+    by_file = {run_log_filename(run_config): run_config for run_config in plan}
+    # Entries of the logs this manifest vouches for: complete and made with
+    # these settings. A log being re-run loses its old entry before it starts.
+    entries: dict[str, dict] = {}
+
+    def record(filename: str, degenerate) -> None:
+        run_config = by_file[filename]
+        entries[filename] = {
+            "file": filename,
+            "function_id": run_config.function_id,
+            "dimension": run_config.dimension,
+            "instance_id": run_config.instance_id,
+            "criterion": run_config.infill.value,
+            "seed": run_config.seed,
+            "total_budget": run_config.total_budget,
+            "degenerate_fallback": degenerate,
+            **{key: getattr(run_config, key) for key in _UNNAMED_SETTINGS},
+        }
+
+    def write_manifest() -> None:
+        runs = [entries[filename] for filename in by_file if filename in entries]
+        manifest = {"campaign": settings, "runs": runs}
+        write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
     pending: list[RunConfig] = []
     result = CampaignResult(manifest_path=manifest_path)
-    for run_config in plan:
-        filename = run_log_filename(run_config)
+    for filename, run_config in by_file.items():
         previous_entry = previous_entries.get(filename, {})
         made_alike = all(
             previous_entry.get(key) == getattr(run_config, key) for key in _UNNAMED_SETTINGS
         )
         if not force and made_alike and _log_is_complete(out_dir / filename, config.total_budget):
             result.skipped.append(filename)
+            record(filename, previous_entry.get("degenerate_fallback"))
         else:
             pending.append(run_config)
+    write_manifest()
 
-    degenerate_flags: dict[str, bool] = {}
+    def finish(filename: str, degenerate: bool) -> None:
+        result.executed.append(filename)
+        record(filename, degenerate)
+        write_manifest()
+
     payloads = [(run_config, str(out_dir)) for run_config in pending]
     if config.workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             for filename, degenerate in pool.map(_execute_run, payloads):
-                degenerate_flags[filename] = degenerate
-                result.executed.append(filename)
+                finish(filename, degenerate)
     else:
         for payload in payloads:
-            filename, degenerate = _execute_run(payload)
-            degenerate_flags[filename] = degenerate
-            result.executed.append(filename)
-
-    entries = []
-    for run_config in plan:
-        filename = run_log_filename(run_config)
-        if filename in degenerate_flags:
-            degenerate = degenerate_flags[filename]
-        else:
-            degenerate = previous_entries.get(filename, {}).get("degenerate_fallback")
-        entries.append(
-            {
-                "file": filename,
-                "function_id": run_config.function_id,
-                "dimension": run_config.dimension,
-                "instance_id": run_config.instance_id,
-                "criterion": run_config.infill.value,
-                "seed": run_config.seed,
-                "degenerate_fallback": degenerate,
-                **{key: getattr(run_config, key) for key in _UNNAMED_SETTINGS},
-            }
-        )
-
-    settings = asdict(config)
-    for name in _EXECUTION_ONLY:
-        del settings[name]
-    manifest = {"campaign": settings, "runs": entries}
-    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            finish(*_execute_run(payload))
     return result

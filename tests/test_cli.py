@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import infillbench.campaign as campaign_module
 from infillbench.campaign import (
     CampaignConfig,
     ConfigParseError,
@@ -11,6 +12,7 @@ from infillbench.campaign import (
 )
 from infillbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from infillbench.infill import InfillCriterion
+from infillbench.smbo import run_log_filename
 from infillbench.testbed import UnknownFunction
 
 
@@ -104,6 +106,27 @@ class TestRunCommand:
         manifest_path.write_text(json.dumps(manifest))
         main(["run", str(config)])
         assert "executed 4 run(s), skipped 0" in capsys.readouterr().out
+
+    def test_interrupted_campaign_resumes_after_its_finished_runs(self, tmp_path, capsys, monkeypatch):
+        original, calls = campaign_module.run, []
+
+        def run_until_interrupted(config):
+            calls.append(config)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return original(config)
+
+        monkeypatch.setattr(campaign_module, "run", run_until_interrupted)
+        config = write_config(tmp_path, small_campaign(tmp_path))
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(config)])
+        manifest = json.loads((tmp_path / "runs" / "manifest.json").read_text())
+        finished = [run_log_filename(c) for c in calls[:2]]
+        assert [entry["file"] for entry in manifest["runs"]] == finished
+        monkeypatch.setattr(campaign_module, "run", original)
+        capsys.readouterr()
+        assert main(["run", str(config)]) == EXIT_OK
+        assert "executed 2 run(s), skipped 2" in capsys.readouterr().out
 
     def test_force_reruns(self, tmp_path, capsys):
         config = write_config(tmp_path, small_campaign(tmp_path))

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,13 +310,16 @@ class TestAtomicWrites:
         write()
         before = sorted(tmp_path.iterdir())
         old = path.read_bytes()
-        path.write_bytes(old + b"marker")
+        path.write_bytes(old + b"\n")  # trailing whitespace: the manifest stays valid JSON
+        replaced = []
 
         def failing_replace(src, dst):
+            replaced.append(Path(dst))
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
             write()
-        assert path.read_bytes() == old + b"marker"
+        assert replaced == [path]
+        assert path.read_bytes() == old + b"\n"
         assert sorted(tmp_path.iterdir()) == before
