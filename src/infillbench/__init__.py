@@ -12,7 +12,7 @@ from .analysis import (
     wilcoxon_rank_sum,
 )
 from .campaign import CampaignConfig, derive_run_seed, run_campaign
-from .de import DEConfig, DEResult, minimize
+from .de import DEResult, minimize
 from .design import BoxBounds, latin_hypercube, uniform_random
 from .infill import InfillCriterion, expected_improvement, predicted_value_score, propose
 from .kriging import (
@@ -43,7 +43,6 @@ __all__ = [
     "BoxBounds",
     "CampaignConfig",
     "Dataset",
-    "DEConfig",
     "DEResult",
     "DominationCell",
     "InfillCriterion",

@@ -47,19 +47,9 @@ class WilcoxonResult(NamedTuple):
 
 def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fractional ranks (ties get the mean rank) and the tie-group sizes."""
-    order = np.argsort(pooled, kind="mergesort")
-    sorted_vals = pooled[order]
-    ranks = np.empty(pooled.size)
-    tie_sizes = []
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, np.array(tie_sizes)
+    _, group, tie_sizes = np.unique(pooled, return_inverse=True, return_counts=True)
+    starts = np.cumsum(tie_sizes) - tie_sizes  # values ranked below each tie group
+    return (starts + (tie_sizes + 1) / 2)[group], tie_sizes
 
 
 @lru_cache(maxsize=None)

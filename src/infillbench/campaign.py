@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .infill import InfillCriterion
-from .kriging import LIKELIHOOD_EVALS_PER_PARAM
 from .smbo import RunConfig, run, run_log_filename, write_run_log, write_text_atomic
 from .testbed import UnknownFunction, list_suite
 
@@ -43,12 +42,12 @@ class CampaignConfig:
     criteria: tuple[InfillCriterion, ...]
     instances: tuple[int, ...] = tuple(range(1, 16))
     repeats: int = 1
-    total_budget: int = 300
-    initial_design_size: int = 10
+    total_budget: int = RunConfig.total_budget
+    initial_design_size: int = RunConfig.initial_design_size
     base_seed: int = 0
     workers: int = 1
     output_dir: str = "runs"
-    mle_evals_per_param: int = LIKELIHOOD_EVALS_PER_PARAM
+    mle_evals_per_param: int = RunConfig.mle_evals_per_param
 
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple(int(f) for f in self.functions))
@@ -97,8 +96,7 @@ _CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
 _EXECUTION_ONLY = ("workers", "output_dir")
 # Run settings that a log's file name does not encode (the seed covers the
 # rest, and a complete log's row count its budget). Each manifest entry
-# records them, and a log is reused only when they match; entries written
-# before they were recorded take the campaign block's.
+# records them, and a log is reused only when they match.
 _UNNAMED_SETTINGS = ("initial_design_size", "mle_evals_per_param")
 
 
@@ -177,12 +175,8 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     previous_entries: dict[str, dict] = {}
     if manifest_path.is_file():
         try:
-            previous = json.loads(manifest_path.read_text())
-            settings = previous["campaign"]
-            previous_entries = {
-                entry["file"]: {**{key: settings[key] for key in _UNNAMED_SETTINGS}, **entry}
-                for entry in previous["runs"]
-            }
+            previous_runs = json.loads(manifest_path.read_text())["runs"]
+            previous_entries = {entry["file"]: entry for entry in previous_runs}
         except (json.JSONDecodeError, KeyError, TypeError):
             previous_entries = {}
 

@@ -92,10 +92,4 @@ def propose(
             means, variances = predict_batch(model, points)
             return -improvement_from_moments(means, variances, y_best)
 
-    d = bounds.dimension
-    config = de.DEConfig(
-        population_size=de.default_population_size(d),
-        budget=MODEL_EVALS_PER_DIMENSION * d,
-        seed=seed,
-    )
-    return de.minimize(objective, bounds, config).x_best
+    return de.minimize(objective, bounds, MODEL_EVALS_PER_DIMENSION * bounds.dimension, seed).x_best

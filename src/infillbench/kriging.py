@@ -83,12 +83,12 @@ class Dataset:
     def dimension(self) -> int:
         return self.X.shape[1]
 
-    def deduplicated(self, tol: float = DUPLICATE_TOL) -> "Dataset":
-        """Drop rows within ``tol`` (max-norm) of an earlier row, keeping the first."""
+    def deduplicated(self) -> "Dataset":
+        """Drop rows within DUPLICATE_TOL (max-norm) of an earlier row, keeping the first."""
         keep: list[int] = []
         for i in range(self.n):
             kept = self.X[keep]
-            if keep and float(np.abs(kept - self.X[i]).max(axis=1).min()) < tol:
+            if keep and float(np.abs(kept - self.X[i]).max(axis=1).min()) < DUPLICATE_TOL:
                 continue
             keep.append(i)
         if len(keep) == self.n:
@@ -117,18 +117,6 @@ class KrigingHyperparameters:
             raise ValueError(f"nugget must lie in [1e-08, {NUGGET_MAX}]")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "power", power)
-
-    def as_dict(self) -> dict:
-        """JSON-ready form, for dropping fitted parameters into run artifacts."""
-        return {
-            "theta": self.theta.tolist(),
-            "power": self.power.tolist(),
-            "nugget": self.nugget,
-        }
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "KrigingHyperparameters":
-        return cls(mapping["theta"], mapping["power"], mapping["nugget"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,20 +273,14 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
         raise DegenerateData("constant objective values cannot identify a model")
 
     d = data.dimension
-    n_params = 2 * d + 1
     ws = _FitWorkspace(data.X, data.y)
 
     def objective(vectors: np.ndarray) -> np.ndarray:
         terms = (_likelihood_terms(ws, *_decode(vector, d)) for vector in vectors)
         return np.array([PENALTY_NLL if t is None else t.nll for t in terms])
 
-    config = de.DEConfig(
-        population_size=de.default_population_size(n_params),
-        budget=evals_per_param * n_params,
-        seed=seed,
-    )
     with flush_subnormals():
-        result = de.minimize(objective, _mle_bounds(d), config)
+        result = de.minimize(objective, _mle_bounds(d), evals_per_param * (2 * d + 1), seed)
     del ws  # free the search workspace first, so a fit never holds two at once
 
     model = model_at(data, KrigingHyperparameters(*_decode(result.x_best, d)))

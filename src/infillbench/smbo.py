@@ -288,7 +288,9 @@ def read_run_log(path) -> RunLog:
         except ValueError as exc:  # a blank required field or a number cut short
             raise MalformedRunLog(f"run log {path}: {exc}") from exc
     config = RunConfig(
-        **meta, total_budget=len(records), initial_design_size=min(10, len(records) - 1)
+        **meta,
+        total_budget=len(records),
+        initial_design_size=min(RunConfig.initial_design_size, len(records) - 1),
     )
     f_opt = records[0].y - records[0].gap
     return RunLog(config=config, f_opt=f_opt, records=tuple(records))

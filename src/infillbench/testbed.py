@@ -165,9 +165,6 @@ class TestFunction:
     rotation: Optional[np.ndarray]
     tags: tuple[str, ...]
 
-    def __call__(self, x: np.ndarray) -> float:
-        return evaluate(self, x)
-
 
 def _random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random orthogonal matrix via Gram-Schmidt on a Gaussian matrix."""

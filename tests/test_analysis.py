@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.stats import mannwhitneyu
 
 from infillbench.analysis import (
     EmptySample,
@@ -77,6 +78,20 @@ class TestWilcoxon:
         np.testing.assert_allclose(oracle, 0.4, atol=1e-12)
         approx = wilcoxon_rank_sum(a, b).p_value
         assert abs(approx - oracle) <= 0.06
+
+    def test_tied_samples_match_scipy_asymptotic(self):
+        assert wilcoxon_rank_sum([1.0, 1.0, 2.0], [1.0, 3.0, 3.0]).p_value == pytest.approx(
+            0.3457785861511603, abs=1e-12
+        )
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            a = rng.integers(0, 6, rng.integers(2, 30)).astype(float)
+            b = rng.integers(0, 6, rng.integers(2, 30)).astype(float)
+            for alternative in ("two-sided", "less", "greater"):
+                got = wilcoxon_rank_sum(a, b, alternative=alternative)
+                expected = mannwhitneyu(a, b, alternative=alternative, method="asymptotic")
+                assert got.statistic == expected.statistic
+                assert abs(got.p_value - expected.pvalue) <= 1e-12
 
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(2)

@@ -12,7 +12,7 @@ from infillbench.campaign import (
 )
 from infillbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from infillbench.infill import InfillCriterion
-from infillbench.smbo import run_log_filename
+from infillbench.smbo import read_run_log, run_log_filename
 from infillbench.testbed import UnknownFunction
 
 
@@ -90,23 +90,6 @@ class TestRunCommand:
         assert manifest["campaign"]["mle_evals_per_param"] == 50
         assert manifest["campaign"]["initial_design_size"] == 5
 
-    def test_entries_without_settings_fall_back_to_campaign_block(self, tmp_path, capsys):
-        config = write_config(tmp_path, small_campaign(tmp_path))
-        main(["run", str(config)])
-        manifest_path = tmp_path / "runs" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        for entry in manifest["runs"]:
-            del entry["initial_design_size"], entry["mle_evals_per_param"]
-        manifest_path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        main(["run", str(config)])
-        assert "executed 0 run(s), skipped 4" in capsys.readouterr().out
-        assert all("mle_evals_per_param" in e for e in json.loads(manifest_path.read_text())["runs"])
-        manifest["campaign"]["mle_evals_per_param"] = 41
-        manifest_path.write_text(json.dumps(manifest))
-        main(["run", str(config)])
-        assert "executed 4 run(s), skipped 0" in capsys.readouterr().out
-
     def test_interrupted_campaign_resumes_after_its_finished_runs(self, tmp_path, capsys, monkeypatch):
         original, calls = campaign_module.run, []
 
@@ -159,6 +142,16 @@ class TestRunCommand:
         argv = ["run", str(config), "--total-budget", "5", "--output-dir", str(out_dir)]
         assert main(argv) == EXIT_CONFIG
         assert not out_dir.exists()
+
+    def test_fit_budget_below_de_population_completes(self, tmp_path):
+        # 2 * (2d + 1) = 10 likelihood evaluations per fit, below DE's population of 50
+        mapping = small_campaign(tmp_path, total_budget=12, mle_evals_per_param=2)
+        assert main(["run", str(write_config(tmp_path, mapping))]) == EXIT_OK
+        runs = json.loads((tmp_path / "runs" / "manifest.json").read_text())["runs"]
+        assert len(runs) == 4
+        for entry in runs:
+            log = read_run_log(tmp_path / "runs" / entry["file"])
+            assert len(log.records) == 12
 
     def test_overrides_reach_runs_and_manifest(self, tmp_path):
         config = write_config(tmp_path, small_campaign(tmp_path, criteria=["pm", "random"]))

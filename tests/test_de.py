@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infillbench.de import DEConfig, minimize
+from infillbench.de import minimize
 from infillbench.design import BoxBounds
 
 
@@ -14,19 +14,28 @@ def rowwise(f):
     return lambda points: np.array([f(p) for p in points])
 
 
-class TestConfigValidation:
-    def test_population_floor(self):
-        with pytest.raises(ValueError):
-            DEConfig(population_size=3, budget=100, seed=0)
+class TestBudget:
+    def test_budget_below_population_evaluates_initial_members(self):
+        calls = []
 
-    def test_budget_covers_population(self):
+        def tracking(x):
+            calls.append(sphere(x))
+            return calls[-1]
+
+        # cube(2) has a population of 20
+        result = minimize(rowwise(tracking), BoxBounds.cube(2), 19, seed=0)
+        assert result.evaluations_used == 19
+        assert len(calls) == 19
+        assert result.f_best == min(calls)
+
+    def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError):
-            DEConfig(population_size=20, budget=19, seed=0)
+            minimize(rowwise(sphere), BoxBounds.cube(2), 0, seed=0)
 
 
 class TestMinimize:
     def test_sphere_convergence(self):
-        result = minimize(rowwise(sphere), BoxBounds.cube(2), DEConfig(20, 2000, seed=7))
+        result = minimize(rowwise(sphere), BoxBounds.cube(2), 2000, seed=7)
         assert result.f_best < 1e-6
         assert result.evaluations_used == 2000
 
@@ -37,15 +46,14 @@ class TestMinimize:
             calls.append(sphere(x))
             return calls[-1]
 
-        result = minimize(rowwise(tracking), BoxBounds.cube(3), DEConfig(40, 40, seed=3))
-        assert result.evaluations_used == 40
-        assert len(calls) == 40
+        result = minimize(rowwise(tracking), BoxBounds.cube(3), 30, seed=3)
+        assert result.evaluations_used == 30
+        assert len(calls) == 30
         assert result.f_best == min(calls)
 
     def test_deterministic(self):
-        cfg = DEConfig(16, 500, seed=11)
-        a = minimize(rowwise(sphere), BoxBounds.cube(4), cfg)
-        b = minimize(rowwise(sphere), BoxBounds.cube(4), cfg)
+        a = minimize(rowwise(sphere), BoxBounds.cube(4), 500, seed=11)
+        b = minimize(rowwise(sphere), BoxBounds.cube(4), 500, seed=11)
         np.testing.assert_array_equal(a.x_best, b.x_best)
         assert a.f_best == b.f_best
 
@@ -57,7 +65,7 @@ class TestMinimize:
             count += 1
             return sphere(x)
 
-        result = minimize(rowwise(counting), BoxBounds.cube(2), DEConfig(20, 73, seed=5))
+        result = minimize(rowwise(counting), BoxBounds.cube(2), 73, seed=5)
         assert count == 73
         assert result.evaluations_used == 73
 
@@ -68,7 +76,7 @@ class TestMinimize:
             seen.append((x.copy(), sphere(x)))
             return seen[-1][1]
 
-        result = minimize(rowwise(tracking), BoxBounds.cube(2), DEConfig(10, 333, seed=9))
+        result = minimize(rowwise(tracking), BoxBounds.cube(2), 333, seed=9)
         values = [v for _, v in seen]
         assert result.f_best == min(values)
         best_x = seen[int(np.argmin(values))][0]
@@ -81,13 +89,13 @@ class TestMinimize:
             assert bounds.contains(x)
             return sphere(x)
 
-        minimize(rowwise(checked), bounds, DEConfig(12, 400, seed=1))
+        minimize(rowwise(checked), bounds, 400, seed=1)
 
     def test_nonfinite_objective_penalized(self):
         def spiky(x):
             return np.inf if x[0] > 0 else float(x @ x)
 
-        result = minimize(rowwise(spiky), BoxBounds.cube(2), DEConfig(10, 200, seed=2))
+        result = minimize(rowwise(spiky), BoxBounds.cube(2), 200, seed=2)
         assert np.isfinite(result.f_best)
 
     def test_incumbent_monotone(self):
@@ -101,7 +109,7 @@ class TestMinimize:
             best_curve.append(best)
             return value
 
-        minimize(rowwise(tracking), BoxBounds.cube(3), DEConfig(10, 500, seed=4))
+        minimize(rowwise(tracking), BoxBounds.cube(3), 500, seed=4)
         assert all(b <= a for a, b in zip(best_curve, best_curve[1:]))
 
     def test_convex_quadratic_success_rate(self):
@@ -116,7 +124,6 @@ class TestMinimize:
                 delta = x - shift
                 return float(delta @ delta)
 
-            cfg = DEConfig(min(10 * d, 50), 1000 * d, seed=1000 + trial)
-            result = minimize(rowwise(quad), BoxBounds.cube(d), cfg)
+            result = minimize(rowwise(quad), BoxBounds.cube(d), 1000 * d, seed=1000 + trial)
             hits += result.f_best <= 1e-3
         assert hits >= 95

@@ -202,18 +202,6 @@ class TestFit:
         model = fit(smooth_dataset(rng, 10, 2), seed=12)
         assert 1e-8 <= model.params.nugget <= 1e-4
 
-    def test_hyperparameters_serialize_round_trip(self):
-        rng = np.random.default_rng(21)
-        model = fit(smooth_dataset(rng, 8, 2), seed=5)
-        import json
-
-        restored = KrigingHyperparameters.from_dict(
-            json.loads(json.dumps(model.params.as_dict()))
-        )
-        np.testing.assert_array_equal(restored.theta, model.params.theta)
-        np.testing.assert_array_equal(restored.power, model.params.power)
-        assert restored.nugget == model.params.nugget
-
     def test_cholesky_reproduces_correlation_matrix(self):
         rng = np.random.default_rng(10)
         data = smooth_dataset(rng, 7, 2)

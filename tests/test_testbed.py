@@ -98,10 +98,6 @@ class TestInstances:
         with pytest.raises(OutOfBounds):
             evaluate(f, np.array([5.1, 0.0]))
 
-    def test_callable_shortcut(self):
-        f = make_instance(1, 2, 1)
-        assert f(f.x_opt) == evaluate(f, f.x_opt)
-
 
 class TestSuiteListing:
     def test_required_members(self):
