@@ -22,7 +22,6 @@ from .kriging import (
     correlation,
     fit,
     model_at,
-    negative_log_likelihood,
     predict,
     predict_batch,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "minimize",
     "model_at",
     "nearest_neighbor_distance",
-    "negative_log_likelihood",
     "predict",
     "predict_batch",
     "predicted_value_score",

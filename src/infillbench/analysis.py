@@ -164,8 +164,8 @@ def _shared_budget(runs: Sequence[RunLog]) -> int:
     return budgets.pop()
 
 
-def _gaps_at(runs: Sequence[RunLog], checkpoint: int) -> np.ndarray:
-    return np.array([log.records[checkpoint - 1].best_gap for log in runs])
+def _values_at(runs: Sequence[RunLog], checkpoint: int, field: str = "best_gap") -> np.ndarray:
+    return np.array([getattr(log.records[checkpoint - 1], field) for log in runs], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,8 @@ def domination_matrix(logs: Iterable[RunLog], alpha: float = DEFAULT_ALPHA) -> l
             )
         budget = _shared_budget(ei_runs + pm_runs)
         for checkpoint in checkpoint_grid(budget):
-            ei_gaps = _gaps_at(ei_runs, checkpoint)
-            pm_gaps = _gaps_at(pm_runs, checkpoint)
+            ei_gaps = _values_at(ei_runs, checkpoint)
+            pm_gaps = _values_at(pm_runs, checkpoint)
             p = wilcoxon_rank_sum(ei_gaps, pm_gaps).p_value
             winner = "none"
             if p < alpha:
@@ -241,16 +241,9 @@ def quartile_curves(logs: Iterable[RunLog], field: str = "best_gap") -> dict[Cur
                     f"function {function_id} d={dimension} {criterion.value}: need >= 2 runs"
                 )
             checkpoints = checkpoint_grid(_shared_budget(runs))
-            rows = []
-            for checkpoint in checkpoints:
-                if field == "best_gap":
-                    values = _gaps_at(runs, checkpoint)
-                else:
-                    values = np.array(
-                        [log.records[checkpoint - 1].nn_distance for log in runs], dtype=float
-                    )
-                rows.append(np.percentile(values, [25.0, 50.0, 75.0]))
-            stacked = np.array(rows)
+            stacked = np.array(
+                [np.percentile(_values_at(runs, c, field), [25.0, 50.0, 75.0]) for c in checkpoints]
+            )
             curves[(function_id, dimension, criterion)] = QuartileCurve(
                 checkpoints=checkpoints,
                 median=stacked[:, 1],

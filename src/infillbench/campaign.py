@@ -18,10 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .infill import InfillCriterion
-from .smbo import RunConfig, run, run_log_filename, write_run_log, write_text_atomic
+from .smbo import (MANIFEST_NAME, RunConfig, manifest_entry, run, run_log_filename,
+                   write_run_log, write_text_atomic)
 from .testbed import UnknownFunction, list_suite
-
-MANIFEST_NAME = "manifest.json"
 
 # Stable per-criterion codes for seed derivation; never reorder.
 _CRITERION_CODES = {
@@ -94,10 +93,6 @@ _CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
 # Settings that change how a campaign executes, never what its runs produce;
 # the manifest leaves them out.
 _EXECUTION_ONLY = ("workers", "output_dir")
-# Run settings that a log's file name does not encode (the seed covers the
-# rest, and a complete log's row count its budget). Each manifest entry
-# records them, and a log is reused only when they match.
-_UNNAMED_SETTINGS = ("initial_design_size", "mle_evals_per_param")
 
 
 def load_campaign_config(path) -> CampaignConfig:
@@ -152,11 +147,11 @@ def _log_is_complete(path: Path, total_budget: int) -> bool:
     return rows == total_budget + 1  # header plus one row per evaluation
 
 
-def _execute_run(payload: tuple[RunConfig, str]) -> tuple[str, bool]:
+def _execute_run(payload: tuple[RunConfig, str]) -> dict:
     config, out_dir = payload
     log = run(config)
     write_run_log(log, out_dir)
-    return run_log_filename(config), log.degenerate_fallback
+    return manifest_entry(config, log.degenerate_fallback)
 
 
 def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
@@ -188,20 +183,6 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     # these settings. A log being re-run loses its old entry before it starts.
     entries: dict[str, dict] = {}
 
-    def record(filename: str, degenerate) -> None:
-        run_config = by_file[filename]
-        entries[filename] = {
-            "file": filename,
-            "function_id": run_config.function_id,
-            "dimension": run_config.dimension,
-            "instance_id": run_config.instance_id,
-            "criterion": run_config.infill.value,
-            "seed": run_config.seed,
-            "total_budget": run_config.total_budget,
-            "degenerate_fallback": degenerate,
-            **{key: getattr(run_config, key) for key in _UNNAMED_SETTINGS},
-        }
-
     def write_manifest() -> None:
         runs = [entries[filename] for filename in by_file if filename in entries]
         manifest = {"campaign": settings, "runs": runs}
@@ -211,27 +192,27 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     result = CampaignResult(manifest_path=manifest_path)
     for filename, run_config in by_file.items():
         previous_entry = previous_entries.get(filename, {})
-        made_alike = all(
-            previous_entry.get(key) == getattr(run_config, key) for key in _UNNAMED_SETTINGS
-        )
+        # Reuse a log only if its old entry, fallback flag aside, is the planned entry.
+        degenerate = previous_entry.get("degenerate_fallback")
+        made_alike = previous_entry == manifest_entry(run_config, degenerate)
         if not force and made_alike and _log_is_complete(out_dir / filename, config.total_budget):
             result.skipped.append(filename)
-            record(filename, previous_entry.get("degenerate_fallback"))
+            entries[filename] = previous_entry
         else:
             pending.append(run_config)
     write_manifest()
 
-    def finish(filename: str, degenerate: bool) -> None:
-        result.executed.append(filename)
-        record(filename, degenerate)
+    def finish(entry: dict) -> None:
+        result.executed.append(entry["file"])
+        entries[entry["file"]] = entry
         write_manifest()
 
     payloads = [(run_config, str(out_dir)) for run_config in pending]
     if config.workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for filename, degenerate in pool.map(_execute_run, payloads):
-                finish(filename, degenerate)
+            for entry in pool.map(_execute_run, payloads):
+                finish(entry)
     else:
         for payload in payloads:
-            finish(*_execute_run(payload))
+            finish(_execute_run(payload))
     return result

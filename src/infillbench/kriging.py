@@ -134,24 +134,33 @@ class KrigingModel:
 
 
 # ---------------------------------------------------------------------------
-# Kernel arithmetic. All routes (scalar correlation, training matrix, query
-# vectors) compute each term |delta_i|^p_i as exp(p_i * log|delta_i|), bit for
-# bit alike; log(0) = -inf propagates to a clean |delta|^p = 0. The sum over
+# Kernel arithmetic. Every route (scalar correlation, training matrix, query
+# vectors) forms log|delta| in _log_abs and maps it to correlations in
+# _kernel, so each term |delta_i|^p_i = exp(p_i * log|delta_i|) is bit for bit
+# alike; log(0) = -inf propagates to a clean |delta|^p = 0. The sum over
 # dimensions is a matrix product whose rounding depends on the array shape, so
 # the routes agree to a few ulps, and exactly only at d = 1.
 # ---------------------------------------------------------------------------
 
 
-def _log_abs(diffs: np.ndarray) -> np.ndarray:
+def _log_abs(diffs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(diffs))
+        return np.log(np.abs(diffs, out=out), out=out)
+
+
+def _kernel(log_abs: np.ndarray, theta: np.ndarray, power: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Correlations over the last axis of (..., d) log|delta|; ``out`` may be ``log_abs``."""
+    np.multiply(log_abs, power, out=out)
+    np.exp(out, out=out)
+    corr = out @ theta
+    np.negative(corr, out=corr)
+    return np.exp(corr, out=corr)
 
 
 def correlation(x: np.ndarray, x2: np.ndarray, params: KrigingHyperparameters) -> float:
     """Kernel value in (0, 1]; exactly 1 at zero distance and symmetric."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return float(np.exp(-(np.exp(_log_abs(x - x2) * params.power) @ params.theta)))
+    row = _log_abs(np.asarray(x, dtype=float) - np.asarray(x2, dtype=float))[None, :]
+    return float(_kernel(row, params.theta, params.power, out=row)[0])
 
 
 class _FitWorkspace:
@@ -191,12 +200,7 @@ def _likelihood_terms(
     NUGGET_MAX); only if the cap still fails is None returned, which callers
     map to a large penalty so the surrounding search keeps moving.
     """
-    np.multiply(ws.log_diffs, power, out=ws.powered)
-    np.exp(ws.powered, out=ws.powered)
-    corr = ws.powered @ theta
-    np.negative(corr, out=corr)
-    np.exp(corr, out=corr)
-
+    corr = _kernel(ws.log_diffs, theta, power, out=ws.powered)
     n = ws.n
     while True:
         # In-place factorization destroys the lower triangle, so every
@@ -220,15 +224,6 @@ def _likelihood_terms(
     half_log_det = float(np.log(np.diag(lower)).sum())
     nll = 0.5 * n * np.log(sigma2_hat) + half_log_det
     return _LikelihoodTerms(float(nll), mu_hat, sigma2_hat, lower, nugget)
-
-
-def negative_log_likelihood(data: Dataset, params: KrigingHyperparameters) -> float:
-    """Concentrated negative log likelihood; a large penalty instead of failure."""
-    if data.n < 2:
-        raise DegenerateData("likelihood needs at least two points")
-    ws = _FitWorkspace(data.X, data.y)
-    terms = _likelihood_terms(ws, params.theta, params.power, params.nugget)
-    return PENALTY_NLL if terms is None else terms.nll
 
 
 def _mle_bounds(dimension: int) -> BoxBounds:
@@ -319,22 +314,13 @@ def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
     )
 
 
-def _query_correlations(model: KrigingModel, points: np.ndarray) -> np.ndarray:
-    """Correlation matrix (m, n) between query points and training points."""
-    # One (m, n, d) buffer, transformed in place. The contraction stays on this 3-D
-    # shape: a (m*n, d) or (d, m, n) layout rounds differently at d=10.
-    buf = points[:, None, :] - model.data.X[None, :, :]
-    with np.errstate(divide="ignore"):
-        np.log(np.abs(buf, out=buf), out=buf)
-    np.exp(np.multiply(buf, model.params.power, out=buf), out=buf)
-    corr = buf @ model.params.theta
-    return np.exp(np.negative(corr, out=corr), out=corr)
-
-
 def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive means and variances for an (m, d) array of query points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    corr = _query_correlations(model, points)
+    # One (m, n, d) buffer, transformed in place. The contraction stays on this 3-D
+    # shape: a (m*n, d) or (d, m, n) layout rounds differently at d=10.
+    buf = points[:, None, :] - model.data.X[None, :, :]
+    corr = _kernel(_log_abs(buf, out=buf), model.params.theta, model.params.power, out=buf)
     means = model.mu_hat + corr @ model.alpha
     whitened = solve_triangular(model.chol, corr.T)
     variances = model.sigma2_hat * (

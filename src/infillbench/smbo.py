@@ -16,10 +16,11 @@ independent across purposes and iterations.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -40,7 +41,7 @@ class EmptyArchive(Exception):
 
 
 class MalformedRunLog(ValueError):
-    """A run log file whose contents cannot be parsed, such as a truncated one."""
+    """A run log, or its directory's manifest, that cannot be parsed, such as a truncated one."""
 
 
 def substream_seed(run_seed: int, stream: int, iteration: int = 0) -> int:
@@ -186,8 +187,10 @@ def run(config: RunConfig) -> RunLog:
 # Run log serialization: one CSV per run, floats at 17 significant digits so
 # values round-trip exactly. Columns: iteration, x_1..x_d, then the other
 # IterationRecord fields in order; Optional ones may be empty. The file name
-# encodes the run coordinates.
+# encodes the run coordinates; a campaign's manifest records every setting.
 # ---------------------------------------------------------------------------
+
+MANIFEST_NAME = "manifest.json"
 
 _VALUE_COLUMNS = tuple(f.name for f in fields(IterationRecord) if f.name not in ("iteration", "x"))
 _BLANK_ALLOWED = frozenset(
@@ -250,6 +253,20 @@ def parse_run_log_filename(name: str) -> dict:
     }
 
 
+def manifest_entry(config: RunConfig, degenerate_fallback: bool) -> dict:
+    """A run's manifest entry: every RunConfig field, its log file and fallback flag."""
+    settings = asdict(config)
+    settings["criterion"] = settings.pop("infill").value
+    return {**settings, "file": run_log_filename(config), "degenerate_fallback": degenerate_fallback}
+
+
+def _entry_settings(entry: dict) -> tuple[RunConfig, bool]:
+    """The RunConfig and fallback flag a manifest entry records; manifest_entry inverted."""
+    settings = {k: v for k, v in entry.items() if k not in ("file", "degenerate_fallback")}
+    settings["infill"] = settings.pop("criterion")
+    return RunConfig(**settings), entry["degenerate_fallback"]
+
+
 def _parse_value(text: str, name: str) -> Optional[float]:
     if not text and name in _BLANK_ALLOWED:
         return None
@@ -261,6 +278,7 @@ def read_run_log(path) -> RunLog:
 
     The run coordinates come from the file name; loop settings that the CSV
     does not carry (initial design size, fit budget) keep their defaults.
+    ``read_run_logs`` takes them from a campaign's manifest instead.
     """
     path = Path(path)
     meta = parse_run_log_filename(path.name)
@@ -297,6 +315,25 @@ def read_run_log(path) -> RunLog:
 
 
 def read_run_logs(directory) -> list[RunLog]:
-    """All run logs in a directory, sorted by file name."""
-    paths = sorted(Path(directory).glob("*.csv"))
-    return [read_run_log(path) for path in paths if _LOG_NAME.fullmatch(path.name)]
+    """All run logs in a directory, sorted by file name.
+
+    A log that the directory's manifest lists takes its settings and fallback
+    flag from its entry; any other log reads as ``read_run_log`` reads it.
+    """
+    manifest_path = Path(directory) / MANIFEST_NAME
+    try:
+        runs = json.loads(manifest_path.read_text())["runs"] if manifest_path.is_file() else []
+        listed = {entry["file"]: _entry_settings(entry) for entry in runs}
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedRunLog(f"manifest {manifest_path} cannot be parsed: {exc!r}") from exc
+    logs = []
+    for path in sorted(Path(directory).glob("*.csv")):
+        if _LOG_NAME.fullmatch(path.name):
+            log = read_run_log(path)
+            if path.name in listed:
+                config, degenerate = listed[path.name]
+                if run_log_filename(config) != path.name or len(log.records) != config.total_budget:
+                    raise MalformedRunLog(f"run log {path} does not match its manifest entry")
+                log = replace(log, config=config, degenerate_fallback=degenerate)
+            logs.append(log)
+    return logs

@@ -68,6 +68,11 @@ class TestRunCommand:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert sorted(entry["file"] for entry in manifest["runs"]) == csvs
         assert all((run_dir / entry["file"]).is_file() for entry in manifest["runs"])
+        # every RunConfig field, the criterion under its manifest name
+        assert all(set(entry) == {
+            "file", "function_id", "dimension", "instance_id", "criterion", "total_budget",
+            "initial_design_size", "seed", "mle_evals_per_param", "degenerate_fallback",
+        } for entry in manifest["runs"])
 
     def test_rerun_is_idempotent(self, tmp_path, capsys):
         config = write_config(tmp_path, small_campaign(tmp_path))
@@ -255,6 +260,17 @@ class TestAnalyzeCommand:
         victim = sorted(cut.glob("*.csv"))[0]
         text = victim.read_text()
         victim.write_text(text[: text.rindex(",")])  # the last row ends mid-field
+        capsys.readouterr()
+        assert main(["analyze", str(cut)]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    def test_truncated_manifest_is_data_error(self, campaign_dir, tmp_path, capsys):
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        for path in campaign_dir.glob("f*.csv"):
+            (cut / path.name).write_bytes(path.read_bytes())
+        manifest = (campaign_dir / "manifest.json").read_text()
+        (cut / "manifest.json").write_text(manifest[: len(manifest) // 2])
         capsys.readouterr()
         assert main(["analyze", str(cut)]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from infillbench.design import latin_hypercube
 from infillbench.kriging import (
@@ -12,7 +13,6 @@ from infillbench.kriging import (
     correlation,
     fit,
     model_at,
-    negative_log_likelihood,
     predict,
     predict_batch,
     solve_triangular,
@@ -104,14 +104,14 @@ class TestNegativeLogLikelihood:
         # nll = log sigma2 up to the tiny nugget contribution
         data = Dataset(np.array([[0.0], [1000.0]]), np.array([1.0, 3.0]))
         params = KrigingHyperparameters([1.0], [2.0], 1e-8)
-        nll = negative_log_likelihood(data, params)
+        nll = model_at(data, params).neg_log_likelihood
         sigma2 = ((1.0 - 2.0) ** 2 + (3.0 - 2.0) ** 2) / 2
         np.testing.assert_allclose(nll, np.log(sigma2), atol=1e-6)
 
     def test_constant_values_hit_variance_floor(self):
         data = Dataset(np.array([[0.0], [1000.0]]), np.array([2.0, 2.0]))
         params = KrigingHyperparameters([1.0], [2.0], 1e-8)
-        nll = negative_log_likelihood(data, params)
+        nll = model_at(data, params).neg_log_likelihood
         np.testing.assert_allclose(nll, np.log(1e-12), atol=1e-6)
 
     def test_matches_dense_inverse_oracle(self):
@@ -119,12 +119,7 @@ class TestNegativeLogLikelihood:
         data = smooth_dataset(rng, 5, 1)
         params = random_params(rng, 1)
         _, _, _, _, nll_ref = dense_reference(data, params)
-        assert abs(negative_log_likelihood(data, params) - nll_ref) <= 1e-8
-
-    def test_requires_two_points(self):
-        with pytest.raises(DegenerateData):
-            negative_log_likelihood(Dataset(np.array([[0.0]]), np.array([1.0])),
-                                    KrigingHyperparameters([1.0], [2.0], 1e-6))
+        assert abs(model_at(data, params).neg_log_likelihood - nll_ref) <= 1e-8
 
     def test_bit_identical_with_subnormals_flushed(self):
         # Uniform draws from the fit's search box on f13 designs; large theta
@@ -147,9 +142,9 @@ class TestNegativeLogLikelihood:
                 )
                 corr = np.exp(-(np.exp(log_diffs * params.power) @ params.theta))
                 with_subnormals[d, n] += bool(np.any((corr > 0.0) & (corr < np.finfo(float).tiny)))
-                plain = negative_log_likelihood(data, params)
+                plain = model_at(data, params).neg_log_likelihood
                 with flush_subnormals():
-                    assert negative_log_likelihood(data, params) == plain
+                    assert model_at(data, params).neg_log_likelihood == plain
         assert min(with_subnormals.values()) > 0
         assert sum(with_subnormals.values()) >= len(cases) * draws // 4
 
@@ -271,6 +266,25 @@ class TestPredict:
         at_training = max(predict(model, xi)[1] for xi in x)
         far_away = predict(model, np.array([4.5]))[1]
         assert at_training <= far_away
+
+    @pytest.mark.parametrize("n", [5, 38, 150])
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_cholesky_bit_identical_to_unbuffered_kernel(self, d, n):
+        # the training kernel must round exactly like the plain formula on the
+        # condensed pairs, so the fitted factor stays bit for bit the same
+        rng = np.random.default_rng(1000 * d + n)
+        data = smooth_dataset(rng, n, d)
+        params = KrigingHyperparameters(
+            10.0 ** rng.uniform(-1.5, 0.0, d) / d, rng.uniform(0.5, 2.0, d), 1e-6
+        )
+        model = model_at(data, params)
+        rows, cols = np.triu_indices(n, 1)
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(data.X[rows] - data.X[cols]))
+        C = np.zeros((n, n))
+        C[rows, cols] = C[cols, rows] = np.exp(-(np.exp(logs * params.power) @ params.theta))
+        C[np.diag_indices(n)] = 1.0 + model.params.nugget
+        np.testing.assert_array_equal(model.chol, scipy.linalg.cholesky(C, lower=True))
 
     @pytest.mark.parametrize("m", [1, 7, 50])
     @pytest.mark.parametrize("d", [1, 2, 5, 10])

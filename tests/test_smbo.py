@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -11,9 +12,12 @@ from infillbench.infill import InfillCriterion
 from infillbench.smbo import (
     EmptyArchive,
     MalformedRunLog,
+    MANIFEST_NAME,
     RunConfig,
+    manifest_entry,
     nearest_neighbor_distance,
     read_run_log,
+    read_run_logs,
     parse_run_log_filename,
     run,
     run_log_filename,
@@ -273,6 +277,67 @@ class TestReadRunLog:
         rewrite_log(log_path, cut)
         with pytest.raises(MalformedRunLog):
             read_run_log(log_path)
+
+
+CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
+
+
+class TestReadRunLogs:
+    @pytest.fixture
+    def campaign_dir(self, tmp_path):
+        config = CampaignConfig(
+            functions=(3,), dimensions=(2,), criteria=("random",), instances=(1, 2, 3),
+            total_budget=12, initial_design_size=4, mle_evals_per_param=7,
+            output_dir=str(tmp_path),
+        )
+        run_campaign(config)
+        return tmp_path
+
+    def edit_manifest(self, directory, edit):
+        path = directory / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        edit(manifest["runs"])
+        path.write_text(json.dumps(manifest))
+
+    def test_cached_logs_read_back_their_manifest_settings(self):
+        # this campaign ran with 100 likelihood evaluations per parameter, not the default 500
+        directory = CACHE_DIR / "high_dim_10d"
+        entries = json.loads((directory / MANIFEST_NAME).read_text())["runs"]
+        logs = read_run_logs(directory)
+        assert len(logs) == len(entries) == 40
+        assert {log.config.mle_evals_per_param for log in logs} == {100}
+        by_file = {entry["file"]: entry for entry in entries}
+        for log in logs:
+            entry = by_file[run_log_filename(log.config)]
+            assert manifest_entry(log.config, log.degenerate_fallback) == entry
+
+    def test_fallback_flag_and_settings_come_from_the_manifest(self, campaign_dir):
+        def flag_first_and_drop_last(runs):
+            runs[0]["degenerate_fallback"] = True
+            del runs[-1]
+
+        self.edit_manifest(campaign_dir, flag_first_and_drop_last)
+        first, second, unlisted = read_run_logs(campaign_dir)
+        assert (first.degenerate_fallback, second.degenerate_fallback) == (True, False)
+        for listed in (first, second):
+            assert (listed.config.initial_design_size, listed.config.mle_evals_per_param) == (4, 7)
+        # a log the manifest does not list keeps read_run_log's defaults
+        assert (unlisted.config.initial_design_size, unlisted.config.mle_evals_per_param) == (10, 500)
+        assert not unlisted.degenerate_fallback
+
+    def test_entry_contradicting_its_log_raises(self, campaign_dir):
+        def claim_longer_budget(runs):
+            runs[1]["total_budget"] = 13
+
+        self.edit_manifest(campaign_dir, claim_longer_budget)
+        with pytest.raises(MalformedRunLog):
+            read_run_logs(campaign_dir)
+
+    def test_unparsable_manifest_raises(self, campaign_dir):
+        path = campaign_dir / MANIFEST_NAME
+        path.write_text(path.read_text()[:-40])
+        with pytest.raises(MalformedRunLog):
+            read_run_logs(campaign_dir)
 
 
 class TestAtomicWrites:
