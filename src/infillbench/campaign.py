@@ -4,8 +4,8 @@ A campaign is the cross product (functions x dimensions x instances x
 criteria x repeats); each cell becomes one run with a seed derived from the
 campaign's base seed, one CSV log, and one manifest entry. Re-running skips
 complete logs that the manifest shows were made with the same settings,
-unless forced. Runs execute on a process pool; the parent alone writes the
-manifest, after every finished run.
+unless forced. Runs execute on a process pool, longest first; the parent
+alone writes the manifest, after every finished run.
 """
 
 from __future__ import annotations
@@ -147,6 +147,20 @@ def _log_is_complete(path: Path, total_budget: int) -> bool:
     return rows == total_budget + 1  # header plus one row per evaluation
 
 
+def estimated_run_cost(config: RunConfig) -> int:
+    """A run's relative cost, by which a campaign's pool takes its runs longest first.
+
+    Every iteration of a model-based run fits a model on up to
+    ``total_budget`` points, spending ``mle_evals_per_param * (2d + 1)``
+    likelihood evaluations that each cost about n^2 * d; random search fits
+    no model, and its evaluations are cheap beside a fit.
+    """
+    if config.infill is InfillCriterion.RANDOM_SEARCH:
+        return 0
+    d = config.dimension
+    return config.mle_evals_per_param * (2 * d + 1) * d * config.total_budget**3
+
+
 def _execute_run(payload: tuple[RunConfig, str]) -> dict:
     config, out_dir = payload
     log = run(config)
@@ -209,6 +223,10 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
 
     payloads = [(run_config, str(out_dir)) for run_config in pending]
     if config.workers > 1 and len(payloads) > 1:
+        # Longest processing time first: a schedule within 4/3 of the shortest
+        # (Graham, SIAM J. Appl. Math., 1969). Seeds come from run coordinates,
+        # not positions, and the manifest keeps plan order, so no output changes.
+        payloads.sort(key=lambda payload: estimated_run_cost(payload[0]), reverse=True)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             for entry in pool.map(_execute_run, payloads):
                 finish(entry)

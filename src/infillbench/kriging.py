@@ -25,26 +25,56 @@ where k is the correlation vector between x and the training points.
 
 The likelihood search runs under ``numerics.flush_subnormals`` (a faster
 Cholesky, the same likelihood bits); models and predictions do not.
+
+LAPACK's ``dpotrf`` and ``dtrtrs`` are called through ``ctypes`` on the
+function pointers that ``scipy.linalg.cython_lapack`` exports: the same
+routines scipy's own wrappers call, but a ``ctypes`` call releases the GIL.
+So a fit splits each generation of the likelihood search into contiguous
+slices, one per thread, and joins the values in order, which keeps every
+likelihood and every search step bit for bit the same as on one thread. A
+fit uses every CPU the process may run on, and one thread when it has fewer
+than THREADED_FIT_MIN_POINTS distinct points or runs in a campaign pool
+worker, where the pool already spreads runs over the CPUs. The threads live
+only for that fit. Prediction stays on the calling thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from . import de
 from .design import BoxBounds
 from .numerics import flush_subnormals
 
-# Raw LAPACK handles for the likelihood hot path (thousands of calls per fit)
-# and for the solves of every prediction.
-_potrf, _trtrs = scipy.linalg.get_lapack_funcs(
-    ("potrf", "trtrs"), (np.empty((1, 1), dtype=float),)
-)
+
+def _lapack_routine(name: str, *argtypes):
+    """A ctypes handle on scipy's LAPACK routine ``name``; a call releases the GIL."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    return ctypes.CFUNCTYPE(None, *argtypes)(capsule_pointer(capsule, capsule_name(capsule)))
+
+
+# LAPACK takes every argument by reference. Flags go as bytes; sizes, info and
+# Fortran-ordered matrices go as plain addresses, the cheapest argument for
+# ctypes to convert.
+_FLAG, _ADDRESS = ctypes.c_char_p, ctypes.c_void_p
+# dpotrf(uplo, n, a, lda, info)
+_potrf = _lapack_routine("dpotrf", _FLAG, *[_ADDRESS] * 4)
+# dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
+_trtrs = _lapack_routine("dtrtrs", _FLAG, _FLAG, _FLAG, *[_ADDRESS] * 7)
 
 THETA_LOG10_BOUNDS = (-3.0, 2.0)
 POWER_BOUNDS = (0.01, 2.0)
@@ -54,6 +84,10 @@ SIGMA2_FLOOR = 1.0e-12
 PENALTY_NLL = 1.0e10
 DUPLICATE_TOL = 1.0e-12
 LIKELIHOOD_EVALS_PER_PARAM = 500
+# Below this many distinct points a fit's likelihood search runs on one
+# thread: there, handing slices to other threads costs more than it saves
+# (the crossover scan is in CHANGES.md).
+THREADED_FIT_MIN_POINTS = 120
 
 
 class DegenerateData(Exception):
@@ -163,27 +197,47 @@ def correlation(x: np.ndarray, x2: np.ndarray, params: KrigingHyperparameters) -
     return float(_kernel(row, params.theta, params.power, out=row)[0])
 
 
-class _FitWorkspace:
-    """Condensed pairwise geometry reused across the likelihood evaluations of one fit."""
+class _Geometry:
+    """Condensed pairwise geometry of one dataset, read-only and shared by every
+    workspace of a fit."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         n = X.shape[0]
         self.n = n
         rows, cols = np.triu_indices(n, 1)
-        self.log_diffs = _log_abs(X[rows] - X[cols])  # (m, d)
+        diffs = X[rows]
+        diffs -= X[cols]
+        self.log_diffs = _log_abs(diffs, out=diffs)  # (m, d)
         self.rhs = np.column_stack([y, np.ones(n)])
-        # Fortran order lets LAPACK factor in place; only the lower triangle
-        # is ever filled, which is all potrf/trtrs read. It is written through
-        # a flat view: entry (i, j) sits at i + j*n.
-        self.matrix = np.zeros((n, n), order="F")
-        self.flat = self.matrix.reshape(-1, order="F")
+        # A workspace's matrix is written through a flat view of its Fortran
+        # order: entry (i, j) sits at i + j*n.
         self.lower_flat = cols + rows * n
         self.diag_flat = np.arange(n) * (n + 1)
-        self.powered = np.empty_like(self.log_diffs)
 
 
-@dataclass(frozen=True)
-class _LikelihoodTerms:
+class _FitWorkspace:
+    """The buffers one thread needs to evaluate likelihoods over shared geometry."""
+
+    def __init__(self, geometry: _Geometry):
+        n = geometry.n
+        self.geometry = geometry
+        # Fortran order lets LAPACK factor and solve in place; only the lower
+        # triangle is ever filled, which is all potrf/trtrs read.
+        self.matrix = np.zeros((n, n), order="F")
+        self.flat = self.matrix.reshape(-1, order="F")
+        self.powered = np.empty_like(geometry.log_diffs)
+        self.solved = np.empty((n, 2), order="F")
+        self.sizes = (ctypes.c_int(n), ctypes.c_int(2))
+        self.info = ctypes.c_int()
+        # LAPACK arguments, built once from addresses that stay valid while
+        # this workspace holds the objects behind them.
+        order, columns, info = (ctypes.addressof(c) for c in (*self.sizes, self.info))
+        matrix, solved = self.matrix.ctypes.data, self.solved.ctypes.data
+        self.potrf_args = (b"L", order, matrix, order, info)
+        self.trtrs_args = (b"L", b"N", b"N", order, columns, matrix, order, solved, order, info)
+
+
+class _LikelihoodTerms(NamedTuple):  # a tuple: the cheapest record to build per evaluation
     nll: float
     mu_hat: float
     sigma2_hat: float
@@ -200,14 +254,16 @@ def _likelihood_terms(
     NUGGET_MAX); only if the cap still fails is None returned, which callers
     map to a large penalty so the surrounding search keeps moving.
     """
-    corr = _kernel(ws.log_diffs, theta, power, out=ws.powered)
-    n = ws.n
+    geometry = ws.geometry
+    corr = _kernel(geometry.log_diffs, theta, power, out=ws.powered)
+    n = geometry.n
     while True:
         # In-place factorization destroys the lower triangle, so every
         # attempt rebuilds it from the correlation vector first.
-        ws.flat[ws.lower_flat] = corr
-        ws.flat[ws.diag_flat] = 1.0 + nugget
-        lower, info = _potrf(ws.matrix, lower=1, clean=0, overwrite_a=1)
+        ws.flat[geometry.lower_flat] = corr
+        ws.flat[geometry.diag_flat] = 1.0 + nugget
+        _potrf(*ws.potrf_args)
+        info = ws.info.value
         if info == 0:
             break
         if info < 0:
@@ -216,12 +272,14 @@ def _likelihood_terms(
             return None
         nugget = min(nugget * 10.0, NUGGET_MAX)
 
-    solved, _ = _trtrs(lower, ws.rhs, lower=1)
-    y_white, ones_white = solved[:, 0], solved[:, 1]
+    lower = ws.matrix
+    ws.solved[...] = geometry.rhs
+    _trtrs(*ws.trtrs_args)
+    y_white, ones_white = ws.solved[:, 0], ws.solved[:, 1]
     mu_hat = float(ones_white @ y_white) / float(ones_white @ ones_white)
     residual = y_white - mu_hat * ones_white
     sigma2_hat = max(float(residual @ residual) / n, SIGMA2_FLOOR)
-    half_log_det = float(np.log(np.diag(lower)).sum())
+    half_log_det = float(np.log(lower.diagonal()).sum())  # the view np.diag returns
     nll = 0.5 * n * np.log(sigma2_hat) + half_log_det
     return _LikelihoodTerms(float(nll), mu_hat, sigma2_hat, lower, nugget)
 
@@ -268,24 +326,61 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
         raise DegenerateData("constant objective values cannot identify a model")
 
     d = data.dimension
-    ws = _FitWorkspace(data.X, data.y)
+    geometry = _Geometry(data.X, data.y)
+    workspaces = [_FitWorkspace(geometry) for _ in range(_fit_threads(data.n))]
 
-    def objective(vectors: np.ndarray) -> np.ndarray:
-        terms = (_likelihood_terms(ws, *_decode(vector, d)) for vector in vectors)
+    def slice_values(ws: _FitWorkspace, vectors: np.ndarray) -> np.ndarray:
+        with flush_subnormals():  # MXCSR is per thread, so each slice sets it
+            terms = [_likelihood_terms(ws, *_decode(vector, d)) for vector in vectors]
         return np.array([PENALTY_NLL if t is None else t.nll for t in terms])
 
-    with flush_subnormals():
+    # An executor starts no thread before its first submit, so a one-thread
+    # fit starts none.
+    with ThreadPoolExecutor(max_workers=max(len(workspaces) - 1, 1)) as pool:
+
+        def objective(vectors: np.ndarray) -> np.ndarray:
+            # Contiguous slices, one per workspace; the calling thread takes the first.
+            ends = [len(vectors) * k // len(workspaces) for k in range(len(workspaces) + 1)]
+            slices = [vectors[start:end] for start, end in zip(ends, ends[1:])]
+            futures = [pool.submit(slice_values, *job) for job in zip(workspaces[1:], slices[1:])]
+            first = slice_values(workspaces[0], slices[0])
+            return np.concatenate([first, *(future.result() for future in futures)])
+
         result = de.minimize(objective, _mle_bounds(d), evals_per_param * (2 * d + 1), seed)
-    del ws  # free the search workspace first, so a fit never holds two at once
+    # Free the search's buffers first, so a fit never holds them and model_at's at once.
+    del geometry, workspaces, objective
 
     model = model_at(data, KrigingHyperparameters(*_decode(result.x_best, d)))
     return replace(model, nll_evaluations=result.evaluations_used)
 
 
+def _fit_threads(n: int) -> int:
+    """Threads for the likelihood search of a fit on ``n`` distinct points."""
+    if n < THREADED_FIT_MIN_POINTS or multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def solve_triangular(chol: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
     """Solve chol @ x = b, or chol.T @ x = b when ``transposed``, for a model's lower factor."""
-    # LAPACK reads the C-ordered chol in place as the Fortran-ordered upper factor chol.T.
-    return _trtrs(chol.T, b, lower=0, trans=0 if transposed else 1)[0]
+    # LAPACK reads the C-ordered chol in place as the Fortran-ordered upper
+    # factor chol.T, and solves in place in a Fortran-ordered copy of b.
+    upper = np.ascontiguousarray(chol, dtype=float)
+    x = np.array(b, dtype=float, order="F")
+    n = upper.shape[0]
+    if upper.shape != (n, n) or x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"cannot solve a {upper.shape} factor for right-hand sides {x.shape}")
+    # The order, the right-hand side count, the leading dimension and info as
+    # consecutive C ints: one ctypes object is the cheapest to build per call.
+    sizes = (ctypes.c_int * 4)(n, x.shape[1] if x.ndim == 2 else 1, max(n, 1), 0)
+    order, step = ctypes.addressof(sizes), ctypes.sizeof(ctypes.c_int)
+    columns, leading, info = order + step, order + 2 * step, order + 3 * step
+    _trtrs(b"U", b"N" if transposed else b"T", b"N", order, columns,
+           upper.ctypes.data, leading, x.ctypes.data, leading, info)
+    return x
 
 
 def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
@@ -294,7 +389,7 @@ def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
     The nugget escalates as in the likelihood search, and the model carries
     the value that factored; DegenerateData if even NUGGET_MAX does not.
     """
-    ws = _FitWorkspace(data.X, data.y)
+    ws = _FitWorkspace(_Geometry(data.X, data.y))
     terms = _likelihood_terms(ws, params.theta, params.power, params.nugget)
     if terms is None:
         raise DegenerateData("no positive definite correlation matrix found")

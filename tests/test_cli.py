@@ -7,6 +7,7 @@ from infillbench.campaign import (
     CampaignConfig,
     ConfigParseError,
     derive_run_seed,
+    estimated_run_cost,
     load_campaign_config,
     run_campaign,
 )
@@ -204,6 +205,41 @@ class TestRunCommand:
 
         for name in names:
             assert without_timing(pool_dir / name) == without_timing(serial_dir / name)
+
+    def test_pool_takes_runs_longest_first_and_manifest_keeps_plan_order(self, tmp_path, monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            """Runs a pool's work in this process, in the order it is submitted."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                submitted.extend(run_config for run_config, _ in payloads)
+                return map(fn, payloads)
+
+        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", InlinePool)
+        manifests = []
+        for workers, out_dir in ((2, "pool"), (1, "serial")):
+            mapping = small_campaign(tmp_path, dimensions=[2, 3], instances=[1],
+                                     criteria=["random", "ei"], total_budget=12,
+                                     mle_evals_per_param=10, workers=workers,
+                                     output_dir=str(tmp_path / out_dir))
+            result = run_campaign(CampaignConfig(**mapping))
+            manifests.append(result.manifest_path.read_bytes())
+        costs = [estimated_run_cost(run_config) for run_config in submitted]
+        assert len(submitted) == 4
+        assert costs == sorted(costs, reverse=True)
+        assert len(set(costs)) == 3  # two model-based dimensions and random search
+        assert manifests[0] == manifests[1]
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,19 @@
+import os
+import threading
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import infillbench.kriging as kriging
 from infillbench.design import latin_hypercube
 from infillbench.kriging import (
     NUGGET_LOG10_BOUNDS,
     POWER_BOUNDS,
     THETA_LOG10_BOUNDS,
+    THREADED_FIT_MIN_POINTS,
     Dataset,
     DegenerateData,
     KrigingHyperparameters,
@@ -57,6 +64,53 @@ def smooth_dataset(rng, n, d):
     coeffs = rng.uniform(-1.0, 1.0, d)
     y = np.sin(x @ coeffs) + 0.3 * (x**2).sum(axis=1)
     return Dataset(x, y)
+
+
+def f13_dataset(d, n):
+    f = make_instance(13, d, 1)
+    X = latin_hypercube(n, f.bounds, seed=d)
+    return Dataset(X, [evaluate(f, x) for x in X])
+
+
+def process_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fit_recording_threads(data):
+    """Fit ``data`` with kriging.flush_subnormals wrapped to record every thread
+    that evaluates likelihoods. Returns the model, the thread ids and the peak
+    of the memory the fit allocated, in bytes, as tracemalloc traced it."""
+    original, threads = kriging.flush_subnormals, set()
+
+    def recording():
+        threads.add(threading.get_ident())
+        return original()
+
+    was_tracing = tracemalloc.is_tracing()
+    kriging.flush_subnormals = recording
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        model = fit(data, seed=3, evals_per_param=20)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+        kriging.flush_subnormals = original
+    return model, threads, peak
+
+
+@pytest.fixture(scope="module")
+def threaded_and_serial_fits():
+    """One f13, d=10, n=150 fit in this process, and the same fit in a
+    one-worker pool's process, where every fit runs on one thread."""
+    data = f13_dataset(10, 150)
+    with ProcessPoolExecutor(max_workers=1) as pool:  # forks before this fit starts threads
+        serial = pool.submit(fit_recording_threads, data).result()
+    return fit_recording_threads(data), serial
 
 
 class TestCorrelation:
@@ -127,9 +181,8 @@ class TestNegativeLogLikelihood:
         draws, with_subnormals = 100, {}
         cases = [(2, 150), (5, 100), (10, 60), (10, 150)]
         for d, n in cases:
-            f = make_instance(13, d, 1)
-            X = latin_hypercube(n, f.bounds, seed=d)
-            data = Dataset(X, [evaluate(f, x) for x in X])
+            data = f13_dataset(d, n)
+            X = data.X
             with np.errstate(divide="ignore"):
                 log_diffs = np.log(np.abs(X[:, None] - X[None]))
             rng = np.random.default_rng(d)
@@ -207,6 +260,39 @@ class TestFit:
         )
         target = k + model.params.nugget * np.eye(n)
         assert np.abs(model.chol @ model.chol.T - target).max() <= 1e-8
+
+
+class TestThreadedFit:
+    def test_bit_identical_to_one_thread(self, threaded_and_serial_fits):
+        (threaded, threads, _), (serial, serial_threads, _) = threaded_and_serial_fits
+        assert len(threads) >= min(2, process_cpus())
+        assert len(serial_threads) == 1
+        np.testing.assert_array_equal(threaded.chol, serial.chol)
+        np.testing.assert_array_equal(threaded.alpha, serial.alpha)
+        np.testing.assert_array_equal(threaded.params.theta, serial.params.theta)
+        np.testing.assert_array_equal(threaded.params.power, serial.params.power)
+        np.testing.assert_array_equal(threaded.params.nugget, serial.params.nugget)
+        assert threaded.neg_log_likelihood == serial.neg_log_likelihood
+
+    def test_small_fit_stays_on_one_thread(self):
+        data = f13_dataset(2, 39)
+        assert data.n < THREADED_FIT_MIN_POINTS
+        _, threads, _ = fit_recording_threads(data)
+        assert len(threads) == 1
+
+    def test_peak_memory_is_geometry_plus_one_buffer_set_per_thread(self, threaded_and_serial_fits):
+        # A fit's peak: the pairwise geometry, (m, d) log-distances and the (m,)
+        # scatter index of its m pairs, shared by every thread; per thread, the
+        # (m, d) kernel terms, (m,) correlations, the n x n matrix and (n, 2)
+        # solve; and the model's own n x n factor. Building the geometry with
+        # one temporary, and freeing the search before the model, keep it so.
+        (_, _, peak), (_, _, serial_peak) = threaded_and_serial_fits
+        n, d = 150, 10
+        m = n * (n - 1) // 2
+        shared, model = 8 * (m * d + m), 8 * n * n
+        per_thread = 8 * (m * d + m + n * n + 2 * n)
+        assert serial_peak <= 1.05 * (shared + per_thread + model)
+        assert peak <= 1.05 * (shared + process_cpus() * per_thread + model)
 
 
 class TestPredict:
@@ -335,6 +421,24 @@ class TestSolveTriangular:
         b = np.array([5.0, 6.0])
         x = solve_triangular(l, b, transposed=True)
         np.testing.assert_allclose(l.T @ x, b, rtol=1e-12)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("shape, order", [((40,), "C"), ((40, 7), "C"), ((40, 7), "F")])
+    def test_bit_identical_to_scipy(self, shape, order, transposed):
+        rng = np.random.default_rng(len(shape) + 2 * transposed)
+        chol = model_at(smooth_dataset(rng, 40, 3), random_params(rng, 3)).chol
+        b = np.asarray(rng.normal(size=shape), order=order)
+        given = b.copy()
+        trans = "T" if transposed else "N"
+        expected = scipy.linalg.solve_triangular(chol, b, lower=True, trans=trans)
+        np.testing.assert_array_equal(solve_triangular(chol, b, transposed), expected)
+        np.testing.assert_array_equal(b, given)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            solve_triangular(np.eye(3), np.ones(4))
+        with pytest.raises(ValueError):
+            solve_triangular(np.eye(3)[:2], np.ones(3))
 
     def test_multiply_back_well_conditioned(self):
         rng = np.random.default_rng(11)
