@@ -147,7 +147,7 @@ def _log_is_complete(path: Path, total_budget: int) -> bool:
     return rows == total_budget + 1  # header plus one row per evaluation
 
 
-def estimated_run_cost(config: RunConfig) -> int:
+def _estimated_run_cost(config: RunConfig) -> int:
     """A run's relative cost, by which a campaign's pool takes its runs longest first.
 
     Every iteration of a model-based run fits a model on up to
@@ -226,7 +226,7 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
         # Longest processing time first: a schedule within 4/3 of the shortest
         # (Graham, SIAM J. Appl. Math., 1969). Seeds come from run coordinates,
         # not positions, and the manifest keeps plan order, so no output changes.
-        payloads.sort(key=lambda payload: estimated_run_cost(payload[0]), reverse=True)
+        payloads.sort(key=lambda payload: _estimated_run_cost(payload[0]), reverse=True)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             for entry in pool.map(_execute_run, payloads):
                 finish(entry)

@@ -32,10 +32,11 @@ routines scipy's own wrappers call, but a ``ctypes`` call releases the GIL.
 So a fit splits each generation of the likelihood search into contiguous
 slices, one per thread, and joins the values in order, which keeps every
 likelihood and every search step bit for bit the same as on one thread. A
-fit uses every CPU the process may run on, and one thread when it has fewer
-than THREADED_FIT_MIN_POINTS distinct points or runs in a campaign pool
-worker, where the pool already spreads runs over the CPUs. The threads live
-only for that fit. Prediction stays on the calling thread.
+fit uses the CPUs the process may run on, up to MAX_FIT_THREADS, and one
+thread when it has fewer than THREADED_FIT_MIN_POINTS distinct points or
+runs in a campaign pool worker, where the pool already spreads runs over the
+CPUs. The threads live only for that fit. Prediction stays on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -86,8 +87,11 @@ DUPLICATE_TOL = 1.0e-12
 LIKELIHOOD_EVALS_PER_PARAM = 500
 # Below this many distinct points a fit's likelihood search runs on one
 # thread: there, handing slices to other threads costs more than it saves
-# (the crossover scan is in CHANGES.md).
+# (the crossover scans are in CHANGES.md).
 THREADED_FIT_MIN_POINTS = 120
+# The most threads a fit's likelihood search uses: the count the crossover
+# scans and benchmarks measured, on a 2-CPU host. More are untested.
+MAX_FIT_THREADS = 2
 
 
 class DegenerateData(Exception):
@@ -339,8 +343,9 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
     with ThreadPoolExecutor(max_workers=max(len(workspaces) - 1, 1)) as pool:
 
         def objective(vectors: np.ndarray) -> np.ndarray:
-            # Contiguous slices, one per workspace; the calling thread takes the first.
-            ends = [len(vectors) * k // len(workspaces) for k in range(len(workspaces) + 1)]
+            # Contiguous slices, none empty; the calling thread takes the first.
+            parts = min(len(workspaces), len(vectors))
+            ends = [len(vectors) * k // parts for k in range(parts + 1)]
             slices = [vectors[start:end] for start, end in zip(ends, ends[1:])]
             futures = [pool.submit(slice_values, *job) for job in zip(workspaces[1:], slices[1:])]
             first = slice_values(workspaces[0], slices[0])
@@ -359,9 +364,10 @@ def _fit_threads(n: int) -> int:
     if n < THREADED_FIT_MIN_POINTS or multiprocessing.parent_process() is not None:
         return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_FIT_THREADS)
 
 
 def solve_triangular(chol: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:

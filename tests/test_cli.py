@@ -7,7 +7,6 @@ from infillbench.campaign import (
     CampaignConfig,
     ConfigParseError,
     derive_run_seed,
-    estimated_run_cost,
     load_campaign_config,
     run_campaign,
 )
@@ -235,10 +234,15 @@ class TestRunCommand:
                                      output_dir=str(tmp_path / out_dir))
             result = run_campaign(CampaignConfig(**mapping))
             manifests.append(result.manifest_path.read_bytes())
-        costs = [estimated_run_cost(run_config) for run_config in submitted]
-        assert len(submitted) == 4
-        assert costs == sorted(costs, reverse=True)
-        assert len(set(costs)) == 3  # two model-based dimensions and random search
+        # Plan order is (2, random), (2, ei), (3, random), (3, ei). A model-based
+        # run costs more in more dimensions; random search fits no model, so its
+        # runs come last, in plan order.
+        assert [(c.dimension, c.infill) for c in submitted] == [
+            (3, InfillCriterion.EXPECTED_IMPROVEMENT),
+            (2, InfillCriterion.EXPECTED_IMPROVEMENT),
+            (2, InfillCriterion.RANDOM_SEARCH),
+            (3, InfillCriterion.RANDOM_SEARCH),
+        ]
         assert manifests[0] == manifests[1]
 
 

@@ -10,6 +10,7 @@ import scipy.linalg
 import infillbench.kriging as kriging
 from infillbench.design import latin_hypercube
 from infillbench.kriging import (
+    MAX_FIT_THREADS,
     NUGGET_LOG10_BOUNDS,
     POWER_BOUNDS,
     THETA_LOG10_BOUNDS,
@@ -265,7 +266,7 @@ class TestFit:
 class TestThreadedFit:
     def test_bit_identical_to_one_thread(self, threaded_and_serial_fits):
         (threaded, threads, _), (serial, serial_threads, _) = threaded_and_serial_fits
-        assert len(threads) >= min(2, process_cpus())
+        assert len(threads) == min(MAX_FIT_THREADS, process_cpus())
         assert len(serial_threads) == 1
         np.testing.assert_array_equal(threaded.chol, serial.chol)
         np.testing.assert_array_equal(threaded.alpha, serial.alpha)
@@ -273,6 +274,13 @@ class TestThreadedFit:
         np.testing.assert_array_equal(threaded.params.power, serial.params.power)
         np.testing.assert_array_equal(threaded.params.nugget, serial.params.nugget)
         assert threaded.neg_log_likelihood == serial.neg_log_likelihood
+
+    def test_threads_capped_whatever_the_cpu_count(self, monkeypatch):
+        # No more threads than were measured, so the buffers a fit holds, one
+        # set per thread, do not grow with the host's CPU count.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        _, threads, _ = fit_recording_threads(f13_dataset(10, 150))
+        assert len(threads) == MAX_FIT_THREADS == 2
 
     def test_small_fit_stays_on_one_thread(self):
         data = f13_dataset(2, 39)
@@ -292,7 +300,7 @@ class TestThreadedFit:
         shared, model = 8 * (m * d + m), 8 * n * n
         per_thread = 8 * (m * d + m + n * n + 2 * n)
         assert serial_peak <= 1.05 * (shared + per_thread + model)
-        assert peak <= 1.05 * (shared + process_cpus() * per_thread + model)
+        assert peak <= 1.05 * (shared + MAX_FIT_THREADS * per_thread + model)
 
 
 class TestPredict:
