@@ -4,22 +4,22 @@ A campaign is the cross product (functions x dimensions x instances x
 criteria x repeats); each cell becomes one run with a seed derived from the
 campaign's base seed, one CSV log, and one manifest entry. Re-running skips
 complete logs that the manifest shows were made with the same settings,
-unless forced. Runs execute on a process pool, longest first; the parent
-alone writes the manifest, after every finished run.
+unless forced. Runs execute on a process pool; the parent alone writes the
+manifest, through ``smbo.write_manifest``, as each run finishes.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .infill import InfillCriterion
-from .smbo import (MANIFEST_NAME, RunConfig, manifest_entry, run, run_log_filename,
-                   write_run_log, write_text_atomic)
+from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, read_manifest, run,
+                   run_log_filename, write_manifest, write_run_log)
 from .testbed import UnknownFunction, list_suite
 
 # Stable per-criterion codes for seed derivation; never reorder.
@@ -89,7 +89,6 @@ class CampaignConfig:
         return configs
 
 
-_CONFIG_KEYS = {f.name for f in fields(CampaignConfig)}
 # Settings that change how a campaign executes, never what its runs produce;
 # the manifest leaves them out.
 _EXECUTION_ONLY = ("workers", "output_dir")
@@ -107,9 +106,6 @@ def load_campaign_config(path) -> CampaignConfig:
         raise ConfigParseError(f"config is not valid JSON: {exc}") from None
     if not isinstance(mapping, dict):
         raise ConfigParseError("config must be a JSON object")
-    unknown = sorted(set(mapping) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigParseError(f"unknown campaign keys {unknown}")
     try:
         return CampaignConfig(**mapping)
     except (TypeError, ValueError) as exc:
@@ -147,90 +143,64 @@ def _log_is_complete(path: Path, total_budget: int) -> bool:
     return rows == total_budget + 1  # header plus one row per evaluation
 
 
-def _estimated_run_cost(config: RunConfig) -> int:
-    """A run's relative cost, by which a campaign's pool takes its runs longest first.
-
-    Every iteration of a model-based run fits a model on up to
-    ``total_budget`` points, spending ``mle_evals_per_param * (2d + 1)``
-    likelihood evaluations that each cost about n^2 * d; random search fits
-    no model, and its evaluations are cheap beside a fit.
-    """
-    if config.infill is InfillCriterion.RANDOM_SEARCH:
-        return 0
-    d = config.dimension
-    return config.mle_evals_per_param * (2 * d + 1) * d * config.total_budget**3
-
-
-def _execute_run(payload: tuple[RunConfig, str]) -> dict:
-    config, out_dir = payload
-    log = run(config)
+def _execute_run(run_config: RunConfig, out_dir: Path) -> bool:
+    """Run one configuration and write its log; return its fallback flag."""
+    log = run(run_config)
     write_run_log(log, out_dir)
-    return manifest_entry(config, log.degenerate_fallback)
+    return log.degenerate_fallback
 
 
 def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     """Execute a campaign, writing one CSV per run plus ``manifest.json``.
 
     Existing complete logs are skipped unless ``force``, provided the previous
-    manifest shows they were made with this campaign's run settings; their
-    entries are carried over from it. The manifest is rewritten after every
-    finished run, so an interrupted campaign resumes where it stopped.
+    manifest records them with this campaign's run settings; their entries are
+    carried over from it. The manifest is rewritten as each run finishes, so
+    an interrupted campaign resumes where it stopped.
     """
     plan = config.run_configs()  # invalid run settings fail before any I/O
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = out_dir / MANIFEST_NAME
-
-    previous_entries: dict[str, dict] = {}
-    if manifest_path.is_file():
-        try:
-            previous_runs = json.loads(manifest_path.read_text())["runs"]
-            previous_entries = {entry["file"]: entry for entry in previous_runs}
-        except (json.JSONDecodeError, KeyError, TypeError):
-            previous_entries = {}
+    try:
+        previous = read_manifest(out_dir)
+    except MalformedRunLog:  # an unreadable manifest vouches for no log
+        previous = {}
 
     settings = asdict(config)
     for name in _EXECUTION_ONLY:
         del settings[name]
     by_file = {run_log_filename(run_config): run_config for run_config in plan}
-    # Entries of the logs this manifest vouches for: complete and made with
-    # these settings. A log being re-run loses its old entry before it starts.
-    entries: dict[str, dict] = {}
+    # The runs this manifest vouches for: complete logs made with these
+    # settings. A log being re-run loses its old entry before it starts.
+    recorded: dict[str, tuple[RunConfig, bool]] = {}
 
-    def write_manifest() -> None:
-        runs = [entries[filename] for filename in by_file if filename in entries]
-        manifest = {"campaign": settings, "runs": runs}
-        write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    def write() -> None:
+        write_manifest(out_dir, settings, [recorded[name] for name in by_file if name in recorded])
 
     pending: list[RunConfig] = []
-    result = CampaignResult(manifest_path=manifest_path)
+    result = CampaignResult(manifest_path=out_dir / MANIFEST_NAME)
     for filename, run_config in by_file.items():
-        previous_entry = previous_entries.get(filename, {})
-        # Reuse a log only if its old entry, fallback flag aside, is the planned entry.
-        degenerate = previous_entry.get("degenerate_fallback")
-        made_alike = previous_entry == manifest_entry(run_config, degenerate)
+        made_alike = filename in previous and previous[filename][0] == run_config
         if not force and made_alike and _log_is_complete(out_dir / filename, config.total_budget):
             result.skipped.append(filename)
-            entries[filename] = previous_entry
+            recorded[filename] = previous[filename]
         else:
             pending.append(run_config)
-    write_manifest()
+    write()
 
-    def finish(entry: dict) -> None:
-        result.executed.append(entry["file"])
-        entries[entry["file"]] = entry
-        write_manifest()
+    def finish(run_config: RunConfig, degenerate: bool) -> None:
+        filename = run_log_filename(run_config)
+        result.executed.append(filename)
+        recorded[filename] = (run_config, degenerate)
+        write()
 
-    payloads = [(run_config, str(out_dir)) for run_config in pending]
-    if config.workers > 1 and len(payloads) > 1:
-        # Longest processing time first: a schedule within 4/3 of the shortest
-        # (Graham, SIAM J. Appl. Math., 1969). Seeds come from run coordinates,
-        # not positions, and the manifest keeps plan order, so no output changes.
-        payloads.sort(key=lambda payload: _estimated_run_cost(payload[0]), reverse=True)
+    if config.workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for entry in pool.map(_execute_run, payloads):
-                finish(entry)
+            futures = {pool.submit(_execute_run, run_config, out_dir): run_config
+                       for run_config in pending}
+            for future in as_completed(futures):
+                finish(futures[future], future.result())
     else:
-        for payload in payloads:
-            finish(_execute_run(payload))
+        for run_config in pending:
+            finish(run_config, _execute_run(run_config, out_dir))
     return result

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    DEFAULT_ALPHA,
     EmptySample,
     InsufficientRuns,
     domination_matrix,
@@ -65,7 +66,7 @@ def _build_parser() -> _Parser:
 
     p_analyze = sub.add_parser("analyze", help="compare criteria over a log directory")
     p_analyze.add_argument("log_dir", help="directory of run CSVs")
-    p_analyze.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p_analyze.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
     p_analyze.add_argument("--output-dir", help="where to write the CSVs (default: log_dir)")
 
     p_rec = sub.add_parser("recommend", help="suggest an infill criterion")

@@ -110,6 +110,8 @@ class Dataset:
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise ValueError(f"inconsistent data shapes {X.shape} and {y.shape}")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("data must be finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 

@@ -261,10 +261,40 @@ def manifest_entry(config: RunConfig, degenerate_fallback: bool) -> dict:
 
 
 def _entry_settings(entry: dict) -> tuple[RunConfig, bool]:
-    """The RunConfig and fallback flag a manifest entry records; manifest_entry inverted."""
+    """The RunConfig and fallback flag a manifest entry records; manifest_entry inverted.
+
+    An entry that does not hold exactly what manifest_entry writes, such as one
+    that leaves a setting out, raises ValueError rather than read as a default.
+    """
     settings = {k: v for k, v in entry.items() if k not in ("file", "degenerate_fallback")}
     settings["infill"] = settings.pop("criterion")
-    return RunConfig(**settings), entry["degenerate_fallback"]
+    config, degenerate = RunConfig(**settings), entry["degenerate_fallback"]
+    if manifest_entry(config, degenerate) != entry:
+        raise ValueError(f"entry {entry['file']!r} does not record exactly its run settings")
+    return config, degenerate
+
+
+def read_manifest(directory) -> dict[str, tuple[RunConfig, bool]]:
+    """The runs a directory's manifest lists: log file name -> (RunConfig, fallback flag).
+
+    Empty when the directory has no manifest; MalformedRunLog when it cannot
+    be parsed or an entry does not record every run setting.
+    """
+    path = Path(directory) / MANIFEST_NAME
+    if not path.is_file():
+        return {}
+    try:
+        return {entry["file"]: _entry_settings(entry) for entry in json.loads(path.read_text())["runs"]}
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedRunLog(f"manifest {path} cannot be parsed: {exc!r}") from exc
+
+
+def write_manifest(directory, campaign_settings: dict, runs) -> None:
+    """Write a directory's manifest: the campaign's settings and one entry per (RunConfig, fallback flag)."""
+    path = Path(directory) / MANIFEST_NAME
+    entries = [manifest_entry(config, degenerate) for config, degenerate in runs]
+    manifest = {"campaign": campaign_settings, "runs": entries}
+    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_value(text: str, name: str) -> Optional[float]:
@@ -320,19 +350,14 @@ def read_run_logs(directory) -> list[RunLog]:
     A log that the directory's manifest lists takes its settings and fallback
     flag from its entry; any other log reads as ``read_run_log`` reads it.
     """
-    manifest_path = Path(directory) / MANIFEST_NAME
-    try:
-        runs = json.loads(manifest_path.read_text())["runs"] if manifest_path.is_file() else []
-        listed = {entry["file"]: _entry_settings(entry) for entry in runs}
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise MalformedRunLog(f"manifest {manifest_path} cannot be parsed: {exc!r}") from exc
+    listed = read_manifest(directory)
     logs = []
     for path in sorted(Path(directory).glob("*.csv")):
         if _LOG_NAME.fullmatch(path.name):
             log = read_run_log(path)
             if path.name in listed:
                 config, degenerate = listed[path.name]
-                if run_log_filename(config) != path.name or len(log.records) != config.total_budget:
+                if len(log.records) != config.total_budget:
                     raise MalformedRunLog(f"run log {path} does not match its manifest entry")
                 log = replace(log, config=config, degenerate_fallback=degenerate)
             logs.append(log)

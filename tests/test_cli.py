@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -47,7 +48,7 @@ class TestCampaignConfig:
         assert not (tmp_path / "runs").exists()
 
     def test_unknown_keys_rejected(self, tmp_path):
-        with pytest.raises(ConfigParseError):
+        with pytest.raises(ConfigParseError, match="bogus"):
             load_campaign_config(write_config(tmp_path, small_campaign(tmp_path, bogus=1)))
 
     def test_seed_derivation_is_stable_and_distinct(self):
@@ -115,6 +116,19 @@ class TestRunCommand:
         capsys.readouterr()
         assert main(["run", str(config)]) == EXIT_OK
         assert "executed 2 run(s), skipped 2" in capsys.readouterr().out
+
+    def test_manifest_entry_without_a_setting_vouches_for_no_log(self, tmp_path, capsys):
+        config = write_config(tmp_path, small_campaign(tmp_path))
+        main(["run", str(config)])
+        path = tmp_path / "runs" / "manifest.json"
+        written = path.read_bytes()
+        manifest = json.loads(written)
+        del manifest["runs"][0]["mle_evals_per_param"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["run", str(config)]) == EXIT_OK
+        assert "executed 4 run(s), skipped 0" in capsys.readouterr().out
+        assert path.read_bytes() == written
 
     def test_force_reruns(self, tmp_path, capsys):
         config = write_config(tmp_path, small_campaign(tmp_path))
@@ -204,12 +218,13 @@ class TestRunCommand:
 
         for name in names:
             assert without_timing(pool_dir / name) == without_timing(serial_dir / name)
+        assert (pool_dir / "manifest.json").read_bytes() == (serial_dir / "manifest.json").read_bytes()
 
-    def test_pool_takes_runs_longest_first_and_manifest_keeps_plan_order(self, tmp_path, monkeypatch):
-        submitted = []
+    def test_pool_records_each_run_as_it_finishes_in_plan_order(self, tmp_path, monkeypatch):
+        submitted, listed_after_each_run = [], []
 
-        class InlinePool:
-            """Runs a pool's work in this process, in the order it is submitted."""
+        class DeferredPool:
+            """Stands in for a process pool: work runs in this process when its future finishes."""
 
             def __init__(self, max_workers):
                 pass
@@ -220,12 +235,21 @@ class TestRunCommand:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, payloads):
-                payloads = list(payloads)
-                submitted.extend(run_config for run_config, _ in payloads)
-                return map(fn, payloads)
+            def submit(self, fn, *args):
+                future = Future()
+                submitted.append((future, fn, args))
+                return future
 
-        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", InlinePool)
+        def in_reverse_plan_order(futures):
+            assert set(futures) == {future for future, _, _ in submitted}
+            for future, fn, args in reversed(submitted):
+                future.set_result(fn(*args))
+                yield future
+                manifest = json.loads((tmp_path / "pool" / "manifest.json").read_text())
+                listed_after_each_run.append([entry["file"] for entry in manifest["runs"]])
+
+        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", DeferredPool)
+        monkeypatch.setattr(campaign_module, "as_completed", in_reverse_plan_order)
         manifests = []
         for workers, out_dir in ((2, "pool"), (1, "serial")):
             mapping = small_campaign(tmp_path, dimensions=[2, 3], instances=[1],
@@ -234,15 +258,9 @@ class TestRunCommand:
                                      output_dir=str(tmp_path / out_dir))
             result = run_campaign(CampaignConfig(**mapping))
             manifests.append(result.manifest_path.read_bytes())
-        # Plan order is (2, random), (2, ei), (3, random), (3, ei). A model-based
-        # run costs more in more dimensions; random search fits no model, so its
-        # runs come last, in plan order.
-        assert [(c.dimension, c.infill) for c in submitted] == [
-            (3, InfillCriterion.EXPECTED_IMPROVEMENT),
-            (2, InfillCriterion.EXPECTED_IMPROVEMENT),
-            (2, InfillCriterion.RANDOM_SEARCH),
-            (3, InfillCriterion.RANDOM_SEARCH),
-        ]
+        plan = [run_log_filename(c) for c in CampaignConfig(**mapping).run_configs()]
+        # runs finish last-planned first; after each, the manifest lists the finished runs in plan order
+        assert listed_after_each_run == [plan[3:], plan[2:], plan[1:], plan]
         assert manifests[0] == manifests[1]
 
 

@@ -152,6 +152,18 @@ class TestDataset:
         clean = Dataset(x, np.array([1.0, 2.0, 3.0])).deduplicated()
         assert clean.n == 2
 
+    @pytest.mark.parametrize("x, y", [
+        ([[0.0, 0.0], [1.0, np.nan], [2.0, 1.0]], [0.0, 1.0, 2.0]),  # potrf passes a NaN pivot
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0]], [0.0, np.inf, 2.0]),  # mu_hat would read NaN
+        ([[0.0, 0.0], [1.0, -np.inf], [2.0, 1.0]], [0.0, 1.0, np.nan]),
+    ])
+    def test_non_finite_data_rejected_before_model_at_and_fit(self, x, y):
+        params = KrigingHyperparameters(np.array([1.0, 1.0]), np.array([2.0, 2.0]), 1e-8)
+        with pytest.raises(ValueError, match="finite"):
+            model_at(Dataset(x, y), params)
+        with pytest.raises(ValueError, match="finite"):
+            fit(Dataset(x, y), seed=0)
+
 
 class TestNegativeLogLikelihood:
     def test_two_far_points_closed_form(self):

@@ -333,6 +333,18 @@ class TestReadRunLogs:
         with pytest.raises(MalformedRunLog):
             read_run_logs(campaign_dir)
 
+    @pytest.mark.parametrize("edit", [
+        # without the check, a missing setting would read back as its default (500 here)
+        lambda entry: entry.pop("mle_evals_per_param"),
+        lambda entry: entry.pop("initial_design_size"),
+        lambda entry: entry.pop("seed"),
+        lambda entry: entry.update(note="extra"),
+    ], ids=["no_mle_evals_per_param", "no_initial_design_size", "no_seed", "unknown_key"])
+    def test_entry_not_recording_exactly_its_settings_raises(self, campaign_dir, edit):
+        self.edit_manifest(campaign_dir, lambda runs: edit(runs[0]))
+        with pytest.raises(MalformedRunLog):
+            read_run_logs(campaign_dir)
+
     def test_unparsable_manifest_raises(self, campaign_dir):
         path = campaign_dir / MANIFEST_NAME
         path.write_text(path.read_text()[:-40])
