@@ -2,10 +2,11 @@
 
 A campaign is the cross product (functions x dimensions x instances x
 criteria x repeats); each cell becomes one run with a seed derived from the
-campaign's base seed, one CSV log, and one manifest entry. Re-running skips
-complete logs that the manifest shows were made with the same settings,
-unless forced. Runs execute on a process pool; the parent alone writes the
-manifest, through ``smbo.write_manifest``, as each run finishes.
+campaign's base seed, one CSV log, and one manifest entry. Re-running skips,
+unless forced, each log that the previous manifest lists with the planned
+settings and that ``smbo.read_run_log`` reads back; ``smbo`` alone knows the
+log and manifest formats. Runs execute on a process pool; the parent alone
+writes the manifest, through ``smbo.write_manifest``, as each run finishes.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .infill import InfillCriterion
-from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, read_manifest, run,
-                   run_log_filename, write_manifest, write_run_log)
+from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, read_manifest, read_run_log,
+                   run, run_log_filename, write_manifest, write_run_log)
 from .testbed import UnknownFunction, list_suite
 
 # Stable per-criterion codes for seed derivation; never reorder.
@@ -135,12 +136,12 @@ class CampaignResult:
     skipped: list[str] = field(default_factory=list)
 
 
-def _log_is_complete(path: Path, total_budget: int) -> bool:
-    if not path.is_file():
+def _reads_back(path: Path) -> bool:
+    try:
+        read_run_log(path)
+    except MalformedRunLog:
         return False
-    with path.open() as handle:
-        rows = sum(1 for line in handle if line.strip())
-    return rows == total_budget + 1  # header plus one row per evaluation
+    return True
 
 
 def _execute_run(run_config: RunConfig, out_dir: Path) -> bool:
@@ -153,25 +154,25 @@ def _execute_run(run_config: RunConfig, out_dir: Path) -> bool:
 def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     """Execute a campaign, writing one CSV per run plus ``manifest.json``.
 
-    Existing complete logs are skipped unless ``force``, provided the previous
-    manifest records them with this campaign's run settings; their entries are
-    carried over from it. The manifest is rewritten as each run finishes, so
-    an interrupted campaign resumes where it stopped.
+    Existing logs are skipped unless ``force``, provided the previous manifest
+    records them with this campaign's run settings and they read back whole;
+    their entries are carried over from it. The manifest is rewritten as each
+    run finishes, so an interrupted campaign resumes where it stopped.
     """
     plan = config.run_configs()  # invalid run settings fail before any I/O
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         previous = read_manifest(out_dir)
-    except MalformedRunLog:  # an unreadable manifest vouches for no log
+    except MalformedRunLog:  # a missing or unreadable manifest vouches for no log
         previous = {}
 
     settings = asdict(config)
     for name in _EXECUTION_ONLY:
         del settings[name]
     by_file = {run_log_filename(run_config): run_config for run_config in plan}
-    # The runs this manifest vouches for: complete logs made with these
-    # settings. A log being re-run loses its old entry before it starts.
+    # The runs this manifest vouches for: logs made with these settings that
+    # read back whole. A log being re-run loses its old entry before it starts.
     recorded: dict[str, tuple[RunConfig, bool]] = {}
 
     def write() -> None:
@@ -181,7 +182,7 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     result = CampaignResult(manifest_path=out_dir / MANIFEST_NAME)
     for filename, run_config in by_file.items():
         made_alike = filename in previous and previous[filename][0] == run_config
-        if not force and made_alike and _log_is_complete(out_dir / filename, config.total_budget):
+        if not force and made_alike and _reads_back(out_dir / filename):
             result.skipped.append(filename)
             recorded[filename] = previous[filename]
         else:

@@ -28,7 +28,7 @@ from .campaign import (
     run_campaign,
 )
 from .kriging import DegenerateData
-from .smbo import MalformedRunLog, read_run_logs
+from .smbo import MalformedRunLog, read_run_logs, write_text_atomic
 from .testbed import OutOfBounds, UnknownFunction, suite_manifest
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def _cmd_list(args) -> int:
             f"dims {dims}  {'; '.join(entry['tags'])}"
         )
     if args.output:
-        Path(args.output).write_text(json.dumps(manifest, indent=2) + "\n")
+        write_text_atomic(Path(args.output), json.dumps(manifest, indent=2) + "\n")
         print(f"wrote {args.output}")
     return EXIT_OK
 

@@ -17,10 +17,10 @@ independent across purposes and iterations.
 from __future__ import annotations
 
 import json
+import math
 import os
-import re
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -187,7 +187,8 @@ def run(config: RunConfig) -> RunLog:
 # Run log serialization: one CSV per run, floats at 17 significant digits so
 # values round-trip exactly. Columns: iteration, x_1..x_d, then the other
 # IterationRecord fields in order; Optional ones may be empty. The file name
-# encodes the run coordinates; a campaign's manifest records every setting.
+# encodes the run coordinates for people; a log's settings are read only from
+# the entry for its file in the manifest beside it, never from the name.
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
@@ -196,7 +197,6 @@ _VALUE_COLUMNS = tuple(f.name for f in fields(IterationRecord) if f.name not in 
 _BLANK_ALLOWED = frozenset(
     name for name, hint in get_type_hints(IterationRecord).items() if type(None) in get_args(hint)
 )
-_LOG_NAME = re.compile(r"f(\d+)_d(\d+)_i(\d+)_(ei|pm|random)_s(\d+)\.csv")
 
 
 def run_log_filename(config: RunConfig) -> str:
@@ -239,20 +239,6 @@ def write_run_log(log: RunLog, directory) -> Path:
     return path
 
 
-def parse_run_log_filename(name: str) -> dict:
-    match = _LOG_NAME.fullmatch(name)
-    if match is None:
-        raise ValueError(f"not a run log file name: {name!r}")
-    function_id, dimension, instance_id, infill, seed = match.groups()
-    return {
-        "function_id": int(function_id),
-        "dimension": int(dimension),
-        "instance_id": int(instance_id),
-        "infill": InfillCriterion(infill),
-        "seed": int(seed),
-    }
-
-
 def manifest_entry(config: RunConfig, degenerate_fallback: bool) -> dict:
     """A run's manifest entry: every RunConfig field, its log file and fallback flag."""
     settings = asdict(config)
@@ -274,19 +260,26 @@ def _entry_settings(entry: dict) -> tuple[RunConfig, bool]:
     return config, degenerate
 
 
+def _listed_settings(directory, only: Optional[str] = None) -> dict[str, tuple[RunConfig, bool]]:
+    """The settings of every run a directory's manifest lists, or of the one for file ``only``."""
+    path = Path(directory) / MANIFEST_NAME
+    try:
+        runs = json.loads(path.read_text())["runs"]
+        return {entry["file"]: _entry_settings(entry) for entry in runs
+                if only is None or entry["file"] == only}
+    except FileNotFoundError as exc:
+        raise MalformedRunLog(f"{path.parent} has no {MANIFEST_NAME}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedRunLog(f"manifest {path} cannot be parsed: {exc!r}") from exc
+
+
 def read_manifest(directory) -> dict[str, tuple[RunConfig, bool]]:
     """The runs a directory's manifest lists: log file name -> (RunConfig, fallback flag).
 
-    Empty when the directory has no manifest; MalformedRunLog when it cannot
-    be parsed or an entry does not record every run setting.
+    MalformedRunLog when the directory has no manifest, it cannot be parsed,
+    or any entry does not record exactly its run settings.
     """
-    path = Path(directory) / MANIFEST_NAME
-    if not path.is_file():
-        return {}
-    try:
-        return {entry["file"]: _entry_settings(entry) for entry in json.loads(path.read_text())["runs"]}
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise MalformedRunLog(f"manifest {path} cannot be parsed: {exc!r}") from exc
+    return _listed_settings(directory)
 
 
 def write_manifest(directory, campaign_settings: dict, runs) -> None:
@@ -300,65 +293,63 @@ def write_manifest(directory, campaign_settings: dict, runs) -> None:
 def _parse_value(text: str, name: str) -> Optional[float]:
     if not text and name in _BLANK_ALLOWED:
         return None
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {text}")
+    return value
 
 
 def read_run_log(path) -> RunLog:
     """Parse a run CSV back into a RunLog, finding each column by its header name.
 
-    The run coordinates come from the file name; loop settings that the CSV
-    does not carry (initial design size, fit budget) keep their defaults.
-    ``read_run_logs`` takes them from a campaign's manifest instead.
+    The RunConfig and fallback flag come from the log's entry in the manifest
+    beside it, and only that entry is checked. MalformedRunLog when the
+    directory has no manifest, the manifest does not list the log, a listed
+    log is missing, the record count differs from the entry's
+    ``total_budget``, the iterations are not 1..n, a required field is blank,
+    or a number is cut short or not finite.
     """
     path = Path(path)
-    meta = parse_run_log_filename(path.name)
-    d = meta["dimension"]
-    lines = path.read_text().strip().splitlines()
-    if len(lines) < 2:
-        raise MalformedRunLog(f"run log {path} has no records")
+    listed = _listed_settings(path.parent, only=path.name)
+    if path.name not in listed:
+        raise MalformedRunLog(f"run log {path} is not listed in its directory's {MANIFEST_NAME}")
+    config, degenerate = listed[path.name]
+    try:
+        lines = path.read_text().strip().splitlines()
+    except FileNotFoundError as exc:
+        raise MalformedRunLog(f"run log {path} is listed in its manifest but missing") from exc
+    if len(lines) != config.total_budget + 1:
+        raise MalformedRunLog(f"run log {path} does not hold the {config.total_budget} records "
+                              f"its manifest entry records")
+    x_columns = _x_columns(config.dimension)
     columns = {name: i for i, name in enumerate(lines[0].split(","))}
-    missing = [c for c in ("iteration", *_x_columns(d), *_VALUE_COLUMNS) if c not in columns]
+    missing = [c for c in ("iteration", *x_columns, *_VALUE_COLUMNS) if c not in columns]
     if missing:
         raise MalformedRunLog(f"run log {path} lacks columns {missing}")
     records: list[IterationRecord] = []
-    for line in lines[1:]:
+    for k, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != len(columns):
             raise MalformedRunLog(f"run log {path} has a row of {len(parts)} fields, not {len(columns)}")
         try:
+            if int(parts[columns["iteration"]]) != k:
+                raise ValueError(f"row {k} is numbered {parts[columns['iteration']]}")
             records.append(
                 IterationRecord(
-                    iteration=int(parts[columns["iteration"]]),
-                    x=np.array([float(parts[columns[c]]) for c in _x_columns(d)]),
+                    iteration=k,
+                    x=np.array([_parse_value(parts[columns[c]], c) for c in x_columns]),
                     **{c: _parse_value(parts[columns[c]], c) for c in _VALUE_COLUMNS},
                 )
             )
-        except ValueError as exc:  # a blank required field or a number cut short
+        except ValueError as exc:  # a blank required field, or a number cut short or not finite
             raise MalformedRunLog(f"run log {path}: {exc}") from exc
-    config = RunConfig(
-        **meta,
-        total_budget=len(records),
-        initial_design_size=min(RunConfig.initial_design_size, len(records) - 1),
-    )
     f_opt = records[0].y - records[0].gap
-    return RunLog(config=config, f_opt=f_opt, records=tuple(records))
+    return RunLog(config, f_opt, tuple(records), degenerate_fallback=degenerate)
 
 
 def read_run_logs(directory) -> list[RunLog]:
-    """All run logs in a directory, sorted by file name.
+    """Every run log a directory's manifest lists, read by ``read_run_log`` in file-name order.
 
-    A log that the directory's manifest lists takes its settings and fallback
-    flag from its entry; any other log reads as ``read_run_log`` reads it.
+    The whole manifest is checked first; files it does not list are not read.
     """
-    listed = read_manifest(directory)
-    logs = []
-    for path in sorted(Path(directory).glob("*.csv")):
-        if _LOG_NAME.fullmatch(path.name):
-            log = read_run_log(path)
-            if path.name in listed:
-                config, degenerate = listed[path.name]
-                if len(log.records) != config.total_budget:
-                    raise MalformedRunLog(f"run log {path} does not match its manifest entry")
-                log = replace(log, config=config, degenerate_fallback=degenerate)
-            logs.append(log)
-    return logs
+    return [read_run_log(Path(directory) / name) for name in sorted(read_manifest(directory))]

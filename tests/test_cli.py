@@ -130,6 +130,20 @@ class TestRunCommand:
         assert "executed 4 run(s), skipped 0" in capsys.readouterr().out
         assert path.read_bytes() == written
 
+    def test_listed_log_that_does_not_read_back_is_rerun(self, tmp_path, capsys):
+        config = write_config(tmp_path, small_campaign(tmp_path))
+        main(["run", str(config)])
+        victim = sorted((tmp_path / "runs").glob("*.csv"))[0]
+        text = victim.read_text()
+        # the last row ends mid-write; the row count is intact
+        victim.write_text(text[: text.rindex(",")] + "\n")
+        assert main(["analyze", str(tmp_path / "runs")]) == EXIT_DATA
+        capsys.readouterr()
+        assert main(["run", str(config)]) == EXIT_OK
+        assert "executed 1 run(s), skipped 3" in capsys.readouterr().out
+        assert victim.read_text().count("\n") == text.count("\n")
+        assert main(["analyze", str(tmp_path / "runs")]) == EXIT_OK
+
     def test_force_reruns(self, tmp_path, capsys):
         config = write_config(tmp_path, small_campaign(tmp_path))
         main(["run", str(config)])
@@ -264,6 +278,12 @@ class TestRunCommand:
         assert manifests[0] == manifests[1]
 
 
+def copy_campaign(source, target):
+    """Copy a campaign's run logs and manifest, and nothing else, into target."""
+    for path in [*source.glob("f*.csv"), source / "manifest.json"]:
+        (target / path.name).write_bytes(path.read_bytes())
+
+
 @pytest.fixture(scope="module")
 def campaign_dir(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("campaign")
@@ -302,8 +322,7 @@ class TestAnalyzeCommand:
     def test_stray_csv_names_are_skipped(self, campaign_dir, tmp_path):
         mixed = tmp_path / "mixed"
         mixed.mkdir()
-        for log in campaign_dir.glob("f*.csv"):
-            (mixed / log.name).write_bytes(log.read_bytes())
+        copy_campaign(campaign_dir, mixed)
         for stray in ("f1_d5__ei_s1.csv", "d2_f3_i1_ei_s5.csv"):
             (mixed / stray).write_text("not a run log\n")
         assert main(["analyze", str(mixed)]) == EXIT_OK
@@ -313,8 +332,7 @@ class TestAnalyzeCommand:
     def test_truncated_log_is_data_error(self, campaign_dir, tmp_path, capsys):
         cut = tmp_path / "cut"
         cut.mkdir()
-        for log in campaign_dir.glob("f*.csv"):
-            (cut / log.name).write_bytes(log.read_bytes())
+        copy_campaign(campaign_dir, cut)
         victim = sorted(cut.glob("*.csv"))[0]
         text = victim.read_text()
         victim.write_text(text[: text.rindex(",")])  # the last row ends mid-field
@@ -332,6 +350,24 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         assert main(["analyze", str(cut)]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_logs_without_a_manifest_are_data_error(self, campaign_dir, tmp_path, capsys):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        copy_campaign(campaign_dir, bare)
+        (bare / "manifest.json").unlink()
+        capsys.readouterr()
+        assert main(["analyze", str(bare)]) == EXIT_DATA
+        assert "no manifest.json" in capsys.readouterr().err
+
+    def test_listed_log_deleted_is_data_error(self, campaign_dir, tmp_path, capsys):
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        copy_campaign(campaign_dir, gone)
+        sorted(gone.glob("*.csv"))[-1].unlink()
+        capsys.readouterr()
+        assert main(["analyze", str(gone)]) == EXIT_DATA
+        assert "missing" in capsys.readouterr().err
 
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -8,6 +8,8 @@ import pytest
 import infillbench.smbo as smbo_module
 from infillbench.analysis import write_curves_csv, write_domination_csv
 from infillbench.campaign import CampaignConfig, run_campaign
+from infillbench.cli import EXIT_IO
+from infillbench.cli import main as cli_main
 from infillbench.infill import InfillCriterion
 from infillbench.smbo import (
     EmptyArchive,
@@ -18,12 +20,21 @@ from infillbench.smbo import (
     nearest_neighbor_distance,
     read_run_log,
     read_run_logs,
-    parse_run_log_filename,
     run,
     run_log_filename,
+    write_manifest,
     write_run_log,
     write_text_atomic,
 )
+
+CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
+
+
+def write_listed_log(log, directory):
+    """Write a run's log and a manifest beside it that lists just that run."""
+    path = write_run_log(log, directory)
+    write_manifest(directory, {}, [(log.config, log.degenerate_fallback)])
+    return path
 
 
 def records_equal(a, b):
@@ -179,12 +190,9 @@ class TestSerialization:
         cfg = RunConfig(3, 2, 1, InfillCriterion.PREDICTED_VALUE,
                         total_budget=13, initial_design_size=10, seed=8)
         log = run(cfg)
-        path = write_run_log(log, tmp_path)
-        restored = read_run_log(path)
-        assert restored.config.function_id == 3
-        assert restored.config.dimension == 2
-        assert restored.config.infill is InfillCriterion.PREDICTED_VALUE
-        assert restored.config.seed == 8
+        restored = read_run_log(write_listed_log(log, tmp_path))
+        assert restored.config == cfg
+        assert restored.degenerate_fallback == log.degenerate_fallback
         assert restored.f_opt == log.f_opt
         for original, parsed in zip(log.records, restored.records):
             assert np.array_equal(original.x, parsed.x)
@@ -213,12 +221,6 @@ class TestSerialization:
 
         assert strip_timing(first) == strip_timing(second)
 
-    def test_malformed_names_rejected(self):
-        # an empty coordinate, and swapped coordinates
-        for name in ("f1_d5__ei_s1.csv", "d2_f3_i1_ei_s5.csv"):
-            with pytest.raises(ValueError):
-                parse_run_log_filename(name)
-
 
 def rewrite_log(path, edit):
     """Apply edit(header_fields, rows_of_fields) to a run CSV in place."""
@@ -233,7 +235,7 @@ class TestReadRunLog:
         cfg = RunConfig(3, 2, 1, InfillCriterion.PREDICTED_VALUE,
                         total_budget=12, initial_design_size=10, seed=8,
                         mle_evals_per_param=20)
-        return write_run_log(run(cfg), tmp_path)
+        return write_listed_log(run(cfg), tmp_path)
 
     def test_columns_found_by_name(self, log_path):
         original = read_run_log(log_path)
@@ -278,8 +280,43 @@ class TestReadRunLog:
         with pytest.raises(MalformedRunLog):
             read_run_log(log_path)
 
+    @pytest.mark.parametrize("column,text", [
+        ("y", "nan"), ("best_gap", "nan"), ("x_1", "inf"), ("gap", "-inf"),
+        ("model_nll", "nan"), ("nn_distance", "inf"), ("wall_time_ms", "nan"),
+        ("iteration", "11"), ("iteration", "13"), ("iteration", "12.0"),
+    ])
+    def test_non_finite_number_or_misnumbered_iteration_raises(self, log_path, column, text):
+        # the last of the 12 rows must be numbered 12
+        def poison(header, rows):
+            rows[-1][header.index(column)] = text
 
-CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
+        rewrite_log(log_path, poison)
+        with pytest.raises(MalformedRunLog):
+            read_run_log(log_path)
+
+    def test_record_count_other_than_the_entry_budget_raises(self, log_path):
+        rewrite_log(log_path, lambda header, rows: rows.pop())
+        with pytest.raises(MalformedRunLog, match="12 records"):
+            read_run_log(log_path)
+
+    def test_log_without_a_manifest_raises(self, log_path):
+        (log_path.parent / MANIFEST_NAME).unlink()
+        with pytest.raises(MalformedRunLog, match="no manifest.json"):
+            read_run_log(log_path)
+
+    def test_log_its_manifest_does_not_list_raises(self, log_path, tmp_path):
+        other = RunConfig(3, 2, 1, InfillCriterion.RANDOM_SEARCH, total_budget=12, seed=8)
+        write_manifest(tmp_path, {}, [(other, False)])
+        with pytest.raises(MalformedRunLog, match="not listed"):
+            read_run_log(log_path)
+
+    def test_lone_cached_log_reads_its_manifest_settings(self):
+        # this campaign ran with 100 likelihood evaluations per parameter, not the default 500
+        directory = CACHE_DIR / "high_dim_10d"
+        entry = json.loads((directory / MANIFEST_NAME).read_text())["runs"][0]
+        log = read_run_log(directory / entry["file"])
+        assert log.config.mle_evals_per_param == 100
+        assert manifest_entry(log.config, log.degenerate_fallback) == entry
 
 
 class TestReadRunLogs:
@@ -317,13 +354,15 @@ class TestReadRunLogs:
             del runs[-1]
 
         self.edit_manifest(campaign_dir, flag_first_and_drop_last)
-        first, second, unlisted = read_run_logs(campaign_dir)
+        first, second = read_run_logs(campaign_dir)
         assert (first.degenerate_fallback, second.degenerate_fallback) == (True, False)
         for listed in (first, second):
             assert (listed.config.initial_design_size, listed.config.mle_evals_per_param) == (4, 7)
-        # a log the manifest does not list keeps read_run_log's defaults
-        assert (unlisted.config.initial_design_size, unlisted.config.mle_evals_per_param) == (10, 500)
-        assert not unlisted.degenerate_fallback
+        # the log the manifest no longer lists is not read, and cannot be read on its own
+        unlisted = sorted(campaign_dir.glob("*.csv"))[-1]
+        assert run_log_filename(first.config) < run_log_filename(second.config) < unlisted.name
+        with pytest.raises(MalformedRunLog, match="not listed"):
+            read_run_log(unlisted)
 
     def test_entry_contradicting_its_log_raises(self, campaign_dir):
         def claim_longer_budget(runs):
@@ -368,14 +407,21 @@ class TestAtomicWrites:
         assert path.read_text() == "new\n"
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("writer", ["run_log", "domination_csv", "curves_csv", "manifest"])
-    def test_every_writer_survives_a_failed_replace(self, writer, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "writer", ["run_log", "domination_csv", "curves_csv", "manifest", "suite_manifest"])
+    def test_every_writer_survives_a_failed_replace(self, writer, tmp_path, monkeypatch, capsys):
         # the temp file is fully written, then the final rename fails
         random_run = RunConfig(1, 2, 1, InfillCriterion.RANDOM_SEARCH, total_budget=12)
         campaign = CampaignConfig(
             functions=(1,), dimensions=(2,), criteria=("random",), instances=(1,),
             total_budget=12, output_dir=str(tmp_path),
         )
+
+        def list_suite_to(path):
+            # the CLI reports an OSError by its exit code; raise it again with the message
+            if cli_main(["list", "--output", str(path)]) == EXIT_IO:
+                raise OSError(capsys.readouterr().err)
+
         write, path = {
             "run_log": (lambda: write_run_log(run(random_run), tmp_path),
                         tmp_path / run_log_filename(random_run)),
@@ -383,6 +429,7 @@ class TestAtomicWrites:
             "curves_csv": (lambda: write_curves_csv({}, tmp_path / "c.csv"), tmp_path / "c.csv"),
             # the rerun skips the complete log, so only the manifest is written
             "manifest": (lambda: run_campaign(campaign), tmp_path / "manifest.json"),
+            "suite_manifest": (lambda: list_suite_to(tmp_path / "s.json"), tmp_path / "s.json"),
         }[writer]
         write()
         before = sorted(tmp_path.iterdir())
