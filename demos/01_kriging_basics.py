@@ -7,7 +7,7 @@ uncertainty signal the expected-improvement criterion feeds on.
 
 import numpy as np
 
-from infillbench import Dataset, fit, predict
+from infillbench import Dataset, fit, predict_batch
 
 
 def target(x):
@@ -31,13 +31,12 @@ def main():
     print(f"  process mean {model.mu_hat:+.4f}, variance {model.sigma2_hat:.4f}\n")
 
     print("training points are reproduced almost exactly:")
-    for x, y in zip(train_x, train_y):
-        mean, _ = predict(model, x)
+    for x, y, mean in zip(train_x, train_y, predict_batch(model, train_x)[0]):
         print(f"  x={x[0]:+.3f}  y={y:+.5f}  model={mean:+.5f}  |err|={abs(mean - y):.2e}")
 
     print("\nprediction sweep (std shown as bars; note the dips at the samples):")
-    for x in np.linspace(-2.2, 2.2, 23):
-        mean, variance = predict(model, np.array([x]))
+    sweep = np.linspace(-2.2, 2.2, 23)
+    for x, mean, variance in zip(sweep, *predict_batch(model, sweep[:, None])):
         std = np.sqrt(variance)
         marker = " <- sample" if np.any(np.abs(train_x[:, 0] - x) < 0.1) else ""
         print(f"  x={x:+.2f}  mean={mean:+.4f}  std={std:.4f} {bar(60 * std)}{marker}")

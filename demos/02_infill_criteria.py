@@ -8,15 +8,8 @@ would actually place the next sample.
 
 import numpy as np
 
-from infillbench import (
-    BoxBounds,
-    Dataset,
-    InfillCriterion,
-    expected_improvement,
-    fit,
-    predicted_value_score,
-    propose,
-)
+from infillbench import BoxBounds, Dataset, InfillCriterion, fit, predict_batch, propose
+from infillbench.infill import improvement_from_moments
 
 
 def target(x):
@@ -32,10 +25,9 @@ def main():
     print(f"best observed value so far: {y_best:+.4f}\n")
 
     print("   x     model mean   EI(x)")
-    for x in np.linspace(0.0, 1.0, 21):
-        point = np.array([x])
-        mean = predicted_value_score(model, point)
-        ei = expected_improvement(model, point, y_best)
+    grid = np.linspace(0.0, 1.0, 21)
+    means, variances = predict_batch(model, grid[:, None])
+    for x, mean, ei in zip(grid, means, improvement_from_moments(means, variances, y_best)):
         tag = " <- data here" if x <= 0.5 else ""
         print(f"  {x:.2f}   {mean:+.4f}   {ei:.5f}{tag}")
 

@@ -14,15 +14,13 @@ from .analysis import (
 from .campaign import CampaignConfig, derive_run_seed, run_campaign
 from .de import DEResult, minimize
 from .design import BoxBounds, latin_hypercube, uniform_random
-from .infill import InfillCriterion, expected_improvement, predicted_value_score, propose
+from .infill import InfillCriterion, propose
 from .kriging import (
     Dataset,
     KrigingHyperparameters,
     KrigingModel,
-    correlation,
     fit,
     model_at,
-    predict,
     predict_batch,
 )
 from .smbo import (
@@ -54,11 +52,9 @@ __all__ = [
     "RunLog",
     "TestFunction",
     "checkpoint_grid",
-    "correlation",
     "derive_run_seed",
     "domination_matrix",
     "evaluate",
-    "expected_improvement",
     "fit",
     "latin_hypercube",
     "list_suite",
@@ -66,9 +62,7 @@ __all__ = [
     "minimize",
     "model_at",
     "nearest_neighbor_distance",
-    "predict",
     "predict_batch",
-    "predicted_value_score",
     "propose",
     "quartile_curves",
     "read_run_log",

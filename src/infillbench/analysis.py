@@ -184,8 +184,11 @@ def domination_matrix(logs: Iterable[RunLog], alpha: float = DEFAULT_ALPHA) -> l
 
     Runs are pooled per (function, dimension, criterion) across instances and
     repeats; random-search baselines are ignored. Needs at least two EI and
-    two PM runs per group.
+    two PM runs per group. ``alpha`` must lie in [0, 1): at 0 no comparison
+    is significant, and at 1 or above every one would be.
     """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"significance level alpha must lie in [0, 1), got {alpha}")
     cells: list[DominationCell] = []
     for (function_id, dimension), by_criterion in sorted(_group_runs(logs).items()):
         ei_runs = by_criterion.get(InfillCriterion.EXPECTED_IMPROVEMENT, [])

@@ -21,7 +21,7 @@ import numpy as np
 from .infill import InfillCriterion
 from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, read_manifest, read_run_log,
                    run, run_log_filename, write_manifest, write_run_log)
-from .testbed import UnknownFunction, list_suite
+from .testbed import INSTANCE_IDS, UnknownFunction, list_suite
 
 # Stable per-criterion codes for seed derivation; never reorder.
 _CRITERION_CODES = {
@@ -40,7 +40,7 @@ class CampaignConfig:
     functions: tuple[int, ...]
     dimensions: tuple[int, ...]
     criteria: tuple[InfillCriterion, ...]
-    instances: tuple[int, ...] = tuple(range(1, 16))
+    instances: tuple[int, ...] = INSTANCE_IDS
     repeats: int = 1
     total_budget: int = RunConfig.total_budget
     initial_design_size: int = RunConfig.initial_design_size
@@ -56,8 +56,8 @@ class CampaignConfig:
         object.__setattr__(
             self, "criteria", tuple(InfillCriterion(c) for c in self.criteria)
         )
-        if not self.functions or not self.dimensions or not self.criteria:
-            raise ConfigParseError("functions, dimensions, and criteria must be non-empty")
+        if not (self.functions and self.dimensions and self.instances and self.criteria):
+            raise ConfigParseError("functions, dimensions, instances, and criteria must be non-empty")
         if self.repeats < 1 or self.workers < 1:
             raise ConfigParseError("repeats and workers must be positive")
         known = {entry.function_id for entry in list_suite()}

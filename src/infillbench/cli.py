@@ -111,9 +111,9 @@ def _cmd_analyze(args) -> int:
     logs = read_run_logs(args.log_dir)
     if not logs:
         raise InsufficientRuns(f"no run logs found in {args.log_dir}")
+    cells = domination_matrix(logs, alpha=args.alpha)
     out_dir = Path(args.output_dir) if args.output_dir else Path(args.log_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = domination_matrix(logs, alpha=args.alpha)
     write_domination_csv(cells, out_dir / "domination.csv")
     curve_sets = {
         "best_gap": quartile_curves(logs, "best_gap"),

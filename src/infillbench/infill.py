@@ -3,7 +3,10 @@
 Two model-based criteria are supported: the predicted value (greedy, lower is
 better) and expected improvement (explorative, higher is better), plus a
 uniform random proposal as baseline. Model-based proposals run differential
-evolution with exactly 1000 model evaluations per search dimension.
+evolution with exactly 1000 model evaluations per search dimension. Both
+criteria are scored only in ``propose``'s batch objectives, from the moments
+``predict_batch`` returns; ``improvement_from_moments`` is the one place the
+expected improvement is computed.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import de
 from .design import BoxBounds, uniform_random
-from .kriging import KrigingModel, predict, predict_batch
+from .kriging import KrigingModel, predict_batch
 from .numerics import standard_normal_cdf, standard_normal_pdf
 
 MODEL_EVALS_PER_DIMENSION = 1000
@@ -34,17 +37,12 @@ class InfillCriterion(str, Enum):
         return self is not InfillCriterion.RANDOM_SEARCH
 
 
-def predicted_value_score(model: KrigingModel, x: np.ndarray) -> float:
-    """Surrogate mean at x; the greedy criterion minimizes this directly."""
-    return predict(model, x)[0]
-
-
 def improvement_from_moments(means, variances, y_best: float):
     """Expected improvement over y_best given Gaussian prediction moments.
 
     With m the mean, s the standard deviation and z = (y_best - m) / s:
     ``EI = (y_best - m) * Phi(z) + s * phi(z)``, and ``max(y_best - m, 0)``
-    in the deterministic limit s -> 0. Vectorizes over arrays.
+    in the deterministic limit s -> 0, elementwise over arrays.
     """
     means = np.asarray(means, dtype=float)
     stds = np.sqrt(np.asarray(variances, dtype=float))
@@ -53,14 +51,7 @@ def improvement_from_moments(means, variances, y_best: float):
     safe_stds = np.where(stds < DETERMINISTIC_STD, 1.0, stds)
     z = shortfall / safe_stds
     stochastic = shortfall * standard_normal_cdf(z) + safe_stds * standard_normal_pdf(z)
-    ei = np.where(stds < DETERMINISTIC_STD, deterministic, np.maximum(stochastic, 0.0))
-    return float(ei) if ei.ndim == 0 else ei
-
-
-def expected_improvement(model: KrigingModel, x: np.ndarray, y_best: float) -> float:
-    """Expected improvement of a single candidate over the best observed value."""
-    mean, variance = predict(model, x)
-    return improvement_from_moments(mean, variance, y_best)
+    return np.where(stds < DETERMINISTIC_STD, deterministic, np.maximum(stochastic, 0.0))
 
 
 def propose(

@@ -16,12 +16,14 @@ with C = K + lambda*I, leaving ``-log L = (n/2) log sigma2_hat +
 differential evolution (theta and lambda are searched in log10 scale).
 All linear algebra goes through one Cholesky factorization of C.
 
-Prediction at a query point x uses
+A model is queried only through ``predict_batch``, which takes an (m, d)
+array of points (one (d,) point is one row) and returns, per point,
 
     mean     = mu_hat + k' C^-1 (y - 1 mu_hat)
     variance = sigma2_hat * (1 + lambda - k' C^-1 k)    (clamped at zero)
 
-where k is the correlation vector between x and the training points.
+where k is the correlation vector between x and the training points. The
+infill criteria score these moments.
 
 The likelihood search runs under ``numerics.flush_subnormals`` (a faster
 Cholesky, the same likelihood bits); models and predictions do not.
@@ -161,7 +163,7 @@ class KrigingHyperparameters:
 
 @dataclass(frozen=True, eq=False)
 class KrigingModel:
-    """Immutable fitted surrogate; query it through predict / predict_batch."""
+    """Immutable fitted surrogate; query it through predict_batch."""
 
     data: Dataset
     params: KrigingHyperparameters
@@ -174,12 +176,12 @@ class KrigingModel:
 
 
 # ---------------------------------------------------------------------------
-# Kernel arithmetic. Every route (scalar correlation, training matrix, query
-# vectors) forms log|delta| in _log_abs and maps it to correlations in
-# _kernel, so each term |delta_i|^p_i = exp(p_i * log|delta_i|) is bit for bit
-# alike; log(0) = -inf propagates to a clean |delta|^p = 0. The sum over
-# dimensions is a matrix product whose rounding depends on the array shape, so
-# the routes agree to a few ulps, and exactly only at d = 1.
+# Kernel arithmetic. Both routes (training matrix, query vectors) form
+# log|delta| in _log_abs and map it to correlations in _kernel, so each term
+# |delta_i|^p_i = exp(p_i * log|delta_i|) is bit for bit alike; log(0) = -inf
+# propagates to a clean |delta|^p = 0. The sum over dimensions is a matrix
+# product whose rounding depends on the array shape, so the two routes agree
+# to a few ulps, and exactly only at d = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -195,12 +197,6 @@ def _kernel(log_abs: np.ndarray, theta: np.ndarray, power: np.ndarray, out: np.n
     corr = out @ theta
     np.negative(corr, out=corr)
     return np.exp(corr, out=corr)
-
-
-def correlation(x: np.ndarray, x2: np.ndarray, params: KrigingHyperparameters) -> float:
-    """Kernel value in (0, 1]; exactly 1 at zero distance and symmetric."""
-    row = _log_abs(np.asarray(x, dtype=float) - np.asarray(x2, dtype=float))[None, :]
-    return float(_kernel(row, params.theta, params.power, out=row)[0])
 
 
 class _Geometry:
@@ -259,6 +255,13 @@ def _likelihood_terms(
     On factorization failure the nugget escalates tenfold (capped at
     NUGGET_MAX); only if the cap still fails is None returned, which callers
     map to a large penalty so the surrounding search keeps moving.
+
+    On finite data the escalation is not known to run. For p <= 2 the
+    power-exponential K is positive semidefinite, and the nugget is at least
+    1e-8, far above the rounding of a factorization at the n <= 300 of a run.
+    The fits of f13 d=10, f3 d=2 and f1 d=5 runs (budgets 40-60, 20
+    likelihood evaluations per parameter) met no dpotrf failure in 46,410
+    calls. The escalation stays because LAPACK may still report one.
     """
     geometry = ws.geometry
     corr = _kernel(geometry.log_diffs, theta, power, out=ws.powered)
@@ -418,8 +421,15 @@ def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
 
 
 def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive means and variances for an (m, d) array of query points."""
+    """Predictive means and variances for an (m, d) array of query points.
+
+    One (d,) point is read as one row. Points of another dimension, or an
+    array of more than two axes, raise ValueError.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    d = model.data.dimension
+    if points.ndim != 2 or points.shape[1] != d:
+        raise ValueError(f"expected points of dimension {d}, got shape {points.shape}")
     # One (m, n, d) buffer, transformed in place. The contraction stays on this 3-D
     # shape: a (m*n, d) or (d, m, n) layout rounds differently at d=10.
     buf = points[:, None, :] - model.data.X[None, :, :]
@@ -431,11 +441,3 @@ def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, 
     )
     return means, np.maximum(variances, 0.0)
 
-
-def predict(model: KrigingModel, x: np.ndarray) -> tuple[float, float]:
-    """Predictive mean and (non-negative) variance at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.data.dimension,):
-        raise ValueError(f"expected a point of dimension {model.data.dimension}, got shape {x.shape}")
-    means, variances = predict_batch(model, x[None, :])
-    return float(means[0]), float(variances[0])

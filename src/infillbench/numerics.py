@@ -24,9 +24,7 @@ def standard_normal_cdf(z):
 
 def standard_normal_pdf(z):
     """phi(z) = exp(-z^2 / 2) / sqrt(2 pi). Accepts scalars or arrays."""
-    z = np.asarray(z, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return float(out) if out.ndim == 0 else out
+    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
 
 
 # glibc's x86-64 fenv_t is 32 bytes: 28 bytes of x87 state, then the SSE

@@ -29,7 +29,7 @@ import numpy as np
 from .design import latin_hypercube
 from .infill import InfillCriterion, propose
 from .kriging import LIKELIHOOD_EVALS_PER_PARAM, Dataset, fit
-from .testbed import evaluate, make_instance
+from .testbed import check_instance, evaluate, make_instance
 
 _STREAM_DESIGN = 0
 _STREAM_FIT = 1
@@ -66,6 +66,7 @@ class RunConfig:
     mle_evals_per_param: int = LIKELIHOOD_EVALS_PER_PARAM
 
     def __post_init__(self):
+        check_instance(self.dimension, self.instance_id)
         if not 1 <= self.initial_design_size < self.total_budget:
             raise ValueError("initial design must be smaller than the total budget")
         if self.seed < 0:

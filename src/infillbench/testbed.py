@@ -185,6 +185,14 @@ def _random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
             return q
 
 
+def check_instance(dimension: int, instance_id: int) -> None:
+    """ValueError unless every suite function has an instance at (dimension, instance_id)."""
+    if dimension < 2:
+        raise ValueError("instances require dimension >= 2")
+    if instance_id not in INSTANCE_IDS:
+        raise ValueError(f"instance_id must be in {INSTANCE_IDS[0]}..{INSTANCE_IDS[-1]}")
+
+
 def make_instance(function_id: int, dimension: int, instance_id: int) -> TestFunction:
     """Deterministic instance of a suite function for a given dimension.
 
@@ -192,10 +200,7 @@ def make_instance(function_id: int, dimension: int, instance_id: int) -> TestFun
     (function_id, dimension, instance_id), so repeat calls agree exactly.
     """
     entry = _suite_entry(function_id)
-    if dimension < 2:
-        raise ValueError("instances require dimension >= 2")
-    if instance_id not in INSTANCE_IDS:
-        raise ValueError(f"instance_id must be in {INSTANCE_IDS[0]}..{INSTANCE_IDS[-1]}")
+    check_instance(dimension, instance_id)
     rng = np.random.default_rng(
         np.random.SeedSequence((function_id, dimension, instance_id))
     )

@@ -23,8 +23,7 @@ from infillbench.analysis import wilcoxon_rank_sum
 from infillbench.campaign import CampaignConfig, run_campaign
 from infillbench.design import BoxBounds, latin_hypercube
 from infillbench.infill import InfillCriterion, improvement_from_moments
-from infillbench.kriging import Dataset, KrigingHyperparameters, correlation, fit, \
-    model_at, predict
+from infillbench.kriging import Dataset, KrigingHyperparameters, fit, model_at, predict_batch
 from infillbench.smbo import RunConfig, read_run_logs, run
 
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
@@ -93,10 +92,11 @@ def test_criterion_1_expected_improvement_monte_carlo():
 
 
 def dense_oracle(data, params):
+    def correlation(a, b):  # the kernel written out, independent of the code under test
+        return np.exp(-(params.theta * np.abs(a - b) ** params.power).sum())
+
     n = data.n
-    k = np.array(
-        [[correlation(data.X[i], data.X[j], params) for j in range(n)] for i in range(n)]
-    )
+    k = np.array([[correlation(data.X[i], data.X[j]) for j in range(n)] for i in range(n)])
     c = k + params.nugget * np.eye(n)
     c_inv = np.linalg.inv(c)
     ones = np.ones(n)
@@ -106,7 +106,7 @@ def dense_oracle(data, params):
     nll = 0.5 * n * np.log(sigma2) + 0.5 * np.linalg.slogdet(c)[1]
 
     def predict_ref(x):
-        kvec = np.array([correlation(x, data.X[i], params) for i in range(n)])
+        kvec = np.array([correlation(x, data.X[i]) for i in range(n)])
         mean = mu + kvec @ c_inv @ residual
         variance = sigma2 * (1.0 + params.nugget - kvec @ c_inv @ kvec)
         return mean, max(variance, 0.0)
@@ -139,9 +139,8 @@ def test_criterion_2_kriging_dense_inverse_oracle():
         worst_nll = max(worst_nll, abs(model.neg_log_likelihood - nll_ref))
         assert worst_nll <= 1e-8
 
-        for _ in range(5):
-            q = rng.uniform(-3.0, 3.0, d)
-            mean, variance = predict(model, q)
+        queries = rng.uniform(-3.0, 3.0, (5, d))
+        for q, mean, variance in zip(queries, *predict_batch(model, queries)):
             mean_ref, var_ref = predict_ref(q)
             worst_pred = max(worst_pred, abs(mean - mean_ref), abs(variance - var_ref))
             assert worst_pred <= 1e-8
@@ -149,8 +148,8 @@ def test_criterion_2_kriging_dense_inverse_oracle():
         fitted = fit(data, seed=1000 + case)
         assert fitted.params.nugget <= 1e-4
         spread = float(np.ptp(data.y))
-        for i in range(data.n):
-            err = abs(predict(fitted, data.X[i])[0] - data.y[i])
+        for mean, y in zip(predict_batch(fitted, data.X)[0], data.y):
+            err = abs(mean - y)
             worst_interp = max(worst_interp, err / spread)
             assert err <= 1e-3 * spread
 

@@ -200,6 +200,13 @@ class TestDominationMatrix:
         ]
         assert all(c.winner == "none" for c in domination_matrix(logs, alpha=0.0))
 
+    @pytest.mark.parametrize("alpha", [-0.01, 1.0, 2.0, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        logs = [synthetic_log(1, 2, InfillCriterion.EXPECTED_IMPROVEMENT, 1.0, s) for s in range(3)]
+        logs += [synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 2.0, s) for s in range(3)]
+        with pytest.raises(ValueError, match="alpha"):
+            domination_matrix(logs, alpha=alpha)
+
     def test_requires_two_runs_per_criterion(self):
         logs = [synthetic_log(1, 2, InfillCriterion.EXPECTED_IMPROVEMENT, 1.0, 0)]
         logs += [synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 2.0, s) for s in range(3)]

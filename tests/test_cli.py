@@ -170,11 +170,17 @@ class TestRunCommand:
         assert not (tmp_path / "runs").exists()
 
     def test_budget_below_design_is_config_error_before_any_io(self, tmp_path):
-        config = write_config(tmp_path, small_campaign(tmp_path))
         out_dir = tmp_path / "X"
-        argv = ["run", str(config), "--total-budget", "5", "--output-dir", str(out_dir)]
-        assert main(argv) == EXIT_CONFIG
-        assert not out_dir.exists()
+        cases = [
+            ({}, ["--total-budget", "5"]),
+            ({"instances": [1, 16]}, []),  # instance ids run 1..15
+            ({"instances": []}, []),
+            ({"dimensions": [2, 1]}, []),  # instances need d >= 2
+        ]
+        for overrides, flags in cases:
+            config = write_config(tmp_path, small_campaign(tmp_path, **overrides))
+            assert main(["run", str(config), *flags, "--output-dir", str(out_dir)]) == EXIT_CONFIG
+            assert not out_dir.exists(), overrides
 
     def test_fit_budget_below_de_population_completes(self, tmp_path):
         # 2 * (2d + 1) = 10 likelihood evaluations per fit, below DE's population of 50
@@ -368,6 +374,14 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         assert main(["analyze", str(gone)]) == EXIT_DATA
         assert "missing" in capsys.readouterr().err
+
+    def test_alpha_outside_unit_interval_is_config_error(self, campaign_dir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        argv = ["analyze", str(campaign_dir), "--alpha", "2", "--output-dir", str(out_dir)]
+        assert main(argv) == EXIT_CONFIG
+        assert "alpha" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import infillbench.infill as infill_module
 from infillbench.design import BoxBounds
-from infillbench.infill import (
-    InfillCriterion,
-    expected_improvement,
-    improvement_from_moments,
-    predicted_value_score,
-    propose,
-)
-from infillbench.kriging import Dataset, fit, predict
+from infillbench.infill import InfillCriterion, improvement_from_moments, propose
+from infillbench.kriging import Dataset, fit, predict_batch
 
 
 @pytest.fixture(scope="module")
@@ -18,14 +13,6 @@ def parabola_model():
     x = np.linspace(0.0, 1.0, 12)[:, None]
     y = (x[:, 0] - 0.3) ** 2
     return fit(Dataset(x, y), seed=3)
-
-
-class TestPredictedValue:
-    def test_equals_predict_mean_bitwise(self, parabola_model):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            x = rng.uniform(0.0, 1.0, 1)
-            assert predicted_value_score(parabola_model, x) == predict(parabola_model, x)[0]
 
 
 class TestExpectedImprovement:
@@ -66,13 +53,15 @@ class TestExpectedImprovement:
         assert np.all(np.diff(ei) < 0.0)
 
     def test_model_route_matches_moment_route(self, parabola_model):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = rng.uniform(0.0, 1.0, 1)
-            mean, variance = predict(parabola_model, x)
-            assert expected_improvement(parabola_model, x, 0.1) == improvement_from_moments(
-                mean, variance, 0.1
-            )
+        # EI of the model's batch moments, against the closed form written out
+        points = np.random.default_rng(5).uniform(0.0, 1.0, (20, 1))
+        means, variances = predict_batch(parabola_model, points)
+        spreads = np.sqrt(variances)
+        z = (0.1 - means) / spreads
+        closed_form = (0.1 - means) * norm.cdf(z) + spreads * norm.pdf(z)
+        np.testing.assert_allclose(
+            improvement_from_moments(means, variances, 0.1), closed_form, rtol=1e-12
+        )
 
 
 class TestPropose:
@@ -81,11 +70,10 @@ class TestPropose:
         proposal = propose(parabola_model, InfillCriterion.PREDICTED_VALUE, bounds, 0.0, seed=7)
         # dense grid scan of the surrogate mean as the reference
         grid = np.linspace(0.0, 1.0, 10_000)[:, None]
-        from infillbench.kriging import predict_batch
-
         means, _ = predict_batch(parabola_model, grid)
         assert abs(proposal[0] - 0.3) <= 0.05
-        assert predict(parabola_model, proposal)[0] <= means.min() + 1e-9 * np.ptp(means)
+        (proposal_mean,), _ = predict_batch(parabola_model, proposal)
+        assert proposal_mean <= means.min() + 1e-9 * np.ptp(means)
 
     def test_expected_improvement_near_grid_optimum(self, parabola_model):
         bounds = BoxBounds([0.0], [1.0])
@@ -94,11 +82,8 @@ class TestPropose:
             parabola_model, InfillCriterion.EXPECTED_IMPROVEMENT, bounds, y_best, seed=8
         )
         grid = np.linspace(0.0, 1.0, 10_000)[:, None]
-        from infillbench.kriging import predict_batch
-
-        means, variances = predict_batch(parabola_model, grid)
-        grid_ei = improvement_from_moments(means, variances, y_best)
-        proposal_ei = expected_improvement(parabola_model, proposal, y_best)
+        grid_ei = improvement_from_moments(*predict_batch(parabola_model, grid), y_best)
+        (proposal_ei,) = improvement_from_moments(*predict_batch(parabola_model, proposal), y_best)
         assert proposal_ei >= 0.999 * grid_ei.max()
 
     def test_random_search_reproducible_and_inside(self):
@@ -141,7 +126,6 @@ class TestPropose:
             raise AssertionError("random search must not evaluate the model")
 
         monkeypatch.setattr(infill_module, "predict_batch", forbidden)
-        monkeypatch.setattr(infill_module, "predict", forbidden)
         bounds = BoxBounds.cube(2)
         proposal = propose(None, InfillCriterion.RANDOM_SEARCH, bounds, 0.0, seed=3)
         assert bounds.contains(proposal)

@@ -18,10 +18,8 @@ from infillbench.kriging import (
     Dataset,
     DegenerateData,
     KrigingHyperparameters,
-    correlation,
     fit,
     model_at,
-    predict,
     predict_batch,
     solve_triangular,
 )
@@ -29,11 +27,17 @@ from infillbench.numerics import flush_subnormals
 from infillbench.testbed import evaluate, make_instance
 
 
+def closed_form_correlation(a, b, params):
+    """The power-exponential kernel written out, independent of the code under test."""
+    return np.exp(-(params.theta * np.abs(a - b) ** params.power).sum())
+
+
 def dense_reference(data, params):
     """Likelihood pieces via explicit matrix inversion (no Cholesky anywhere)."""
     n = data.n
     k = np.array(
-        [[correlation(data.X[i], data.X[j], params) for j in range(n)] for i in range(n)]
+        [[closed_form_correlation(data.X[i], data.X[j], params) for j in range(n)]
+         for i in range(n)]
     )
     c = k + params.nugget * np.eye(n)
     c_inv = np.linalg.inv(c)
@@ -46,7 +50,7 @@ def dense_reference(data, params):
 
 
 def dense_predict(data, params, x, k_matrix, c_inv, mu, sigma2):
-    kvec = np.array([correlation(x, data.X[i], params) for i in range(data.n)])
+    kvec = np.array([closed_form_correlation(x, data.X[i], params) for i in range(data.n)])
     mean = mu + kvec @ c_inv @ (data.y - mu)
     variance = sigma2 * (1.0 + params.nugget - kvec @ c_inv @ kvec)
     return mean, max(variance, 0.0)
@@ -115,28 +119,39 @@ def threaded_and_serial_fits():
 
 
 class TestCorrelation:
+    """The kernel as the fit sees it: for two points a, b the model's factor L
+    has L L' = [[1 + nugget, k], [k, 1 + nugget]] with k the correlation."""
+
+    @staticmethod
+    def pair_factor(a, b, params):
+        return model_at(Dataset([a, b], [0.0, 1.0]), params).chol
+
     def test_zero_distance_is_exactly_one(self):
         params = KrigingHyperparameters([2.0, 0.3], [1.5, 2.0], 1e-6)
         x = np.array([0.7, -1.2])
-        assert correlation(x, x, params) == 1.0
+        diagonal = 1.0 + params.nugget
+        expected = scipy.linalg.cholesky([[diagonal, 1.0], [1.0, diagonal]], lower=True)
+        np.testing.assert_array_equal(self.pair_factor(x, x, params), expected)
 
     def test_one_dimensional_value(self):
         params = KrigingHyperparameters([1.0], [2.0], 1e-6)
-        value = correlation(np.array([0.0]), np.array([1.0]), params)
-        np.testing.assert_allclose(value, np.exp(-1.0), rtol=1e-12)
+        chol = self.pair_factor(np.array([0.0]), np.array([1.0]), params)
+        np.testing.assert_allclose(chol[1, 0] * chol[0, 0], np.exp(-1.0), rtol=1e-12)
 
     def test_two_dimensional_hand_sum(self):
         # theta=(1,2), p=(1,2), delta=(0.5,0.5): exp(-(0.5 + 2*0.25)) = exp(-1)
         params = KrigingHyperparameters([1.0, 2.0], [1.0, 2.0], 1e-6)
-        value = correlation(np.array([1.0, 1.0]), np.array([0.5, 0.5]), params)
-        np.testing.assert_allclose(value, np.exp(-1.0), rtol=1e-12)
+        chol = self.pair_factor(np.array([1.0, 1.0]), np.array([0.5, 0.5]), params)
+        np.testing.assert_allclose(chol[1, 0] * chol[0, 0], np.exp(-1.0), rtol=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, 3)
         for _ in range(25):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            assert correlation(a, b, params) == correlation(b, a, params)
+            np.testing.assert_array_equal(
+                self.pair_factor(a, b, params), self.pair_factor(b, a, params)
+            )
 
 
 class TestDataset:
@@ -220,9 +235,8 @@ class TestFit:
         x = np.linspace(0.0, 1.0, 5)[:, None]
         y = x[:, 0].copy()
         model = fit(Dataset(x, y), seed=4)
-        spread = np.ptp(y)
-        for xi, yi in zip(x, y):
-            assert abs(predict(model, xi)[0] - yi) <= 1e-3 * spread
+        means, _ = predict_batch(model, x)
+        assert np.all(np.abs(means - y) <= 1e-3 * np.ptp(y))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -269,7 +283,8 @@ class TestFit:
         model = fit(data, seed=3)
         n = data.n
         k = np.array(
-            [[correlation(data.X[i], data.X[j], model.params) for j in range(n)] for i in range(n)]
+            [[closed_form_correlation(data.X[i], data.X[j], model.params) for j in range(n)]
+             for i in range(n)]
         )
         target = k + model.params.nugget * np.eye(n)
         assert np.abs(model.chol @ model.chol.T - target).max() <= 1e-8
@@ -321,10 +336,9 @@ class TestPredict:
         data = smooth_dataset(rng, 6, 2)
         model = fit(data, seed=7)
         spread = np.ptp(data.y)
-        for i in range(data.n):
-            mean, variance = predict(model, data.X[i])
-            assert abs(mean - data.y[i]) <= 1e-3 * spread
-            assert variance >= 0.0
+        means, variances = predict_batch(model, data.X)
+        assert np.all(np.abs(means - data.y) <= 1e-3 * spread)
+        assert np.all(variances >= 0.0)
 
     def test_far_query_returns_process_moments(self):
         # with all correlations underflowing to zero the prediction falls back
@@ -332,7 +346,7 @@ class TestPredict:
         data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         params = KrigingHyperparameters([10.0], [2.0], 1e-6)
         model = model_at(data, params)
-        mean, variance = predict(model, np.array([500.0]))
+        (mean,), (variance,) = predict_batch(model, np.array([500.0]))
         assert mean == model.mu_hat
         np.testing.assert_allclose(
             variance, model.sigma2_hat * (1.0 + params.nugget), rtol=1e-12
@@ -341,8 +355,8 @@ class TestPredict:
     def test_midpoint_of_symmetric_pair_is_average(self):
         data = Dataset(np.array([[-1.0], [1.0]]), np.array([2.0, 4.0]))
         model = model_at(data, KrigingHyperparameters([0.7], [2.0], 1e-8))
-        mean, _ = predict(model, np.array([0.0]))
-        np.testing.assert_allclose(mean, 3.0, rtol=1e-10)
+        means, _ = predict_batch(model, np.array([0.0]))
+        np.testing.assert_allclose(means, [3.0], rtol=1e-10)
 
     def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(13)
@@ -350,10 +364,9 @@ class TestPredict:
         params = random_params(rng, 2)
         k, c_inv, mu, sigma2, _ = dense_reference(data, params)
         model = model_at(data, params)
-        rng_q = np.random.default_rng(14)
-        for _ in range(20):
-            x = rng_q.uniform(-3.0, 3.0, 2)
-            mean, variance = predict(model, x)
+        queries = np.random.default_rng(14).uniform(-3.0, 3.0, (20, 2))
+        means, variances = predict_batch(model, queries)
+        for x, mean, variance in zip(queries, means, variances):
             mean_ref, var_ref = dense_predict(data, params, x, k, c_inv, mu, sigma2)
             assert abs(mean - mean_ref) <= 1e-8
             assert abs(variance - var_ref) <= 1e-8
@@ -369,8 +382,8 @@ class TestPredict:
         x = np.linspace(-1.0, 1.0, 6)[:, None]
         y = np.sin(2 * x[:, 0])
         model = fit(Dataset(x, y), seed=10)
-        at_training = max(predict(model, xi)[1] for xi in x)
-        far_away = predict(model, np.array([4.5]))[1]
+        at_training = predict_batch(model, x)[1].max()
+        (far_away,) = predict_batch(model, np.array([4.5]))[1]
         assert at_training <= far_away
 
     @pytest.mark.parametrize("n", [5, 38, 150])
@@ -411,17 +424,14 @@ class TestPredict:
         means, _ = predict_batch(model, P)
         np.testing.assert_array_equal(means, model.mu_hat + K @ model.alpha)
 
-    def test_batch_matches_scalar(self):
-        # multi-column triangular solves block differently inside LAPACK, so
-        # the variance can differ from the one-point path in the last ulps
+    def test_points_of_another_dimension_rejected(self):
         rng = np.random.default_rng(17)
-        model = fit(smooth_dataset(rng, 9, 3), seed=2)
-        queries = rng.uniform(-3.0, 3.0, (40, 3))
-        means, variances = predict_batch(model, queries)
-        for i, q in enumerate(queries):
-            mean, variance = predict(model, q)
-            np.testing.assert_allclose(mean, means[i], rtol=1e-13)
-            np.testing.assert_allclose(variance, variances[i], rtol=1e-12, atol=1e-15)
+        model = model_at(smooth_dataset(rng, 9, 3), random_params(rng, 3))
+        for shape in [(5, 1), (5, 4), (2,), (4,), (2, 5, 3)]:
+            with pytest.raises(ValueError, match="dimension 3"):
+                predict_batch(model, np.zeros(shape))
+        means, variances = predict_batch(model, np.zeros(3))  # one (d,) point is one row
+        assert means.shape == variances.shape == (1,)
 
 
 class TestSolveTriangular:
