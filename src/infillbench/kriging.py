@@ -28,17 +28,26 @@ infill criteria score these moments.
 The likelihood search runs under ``numerics.flush_subnormals`` (a faster
 Cholesky, the same likelihood bits); models and predictions do not.
 
-LAPACK's ``dpotrf`` and ``dtrtrs`` are called through ``ctypes`` on the
-function pointers that ``scipy.linalg.cython_lapack`` exports: the same
-routines scipy's own wrappers call, but a ``ctypes`` call releases the GIL.
-So a fit splits each generation of the likelihood search into contiguous
-slices, one per thread, and joins the values in order, which keeps every
-likelihood and every search step bit for bit the same as on one thread. A
-fit uses the CPUs the process may run on, up to MAX_FIT_THREADS, and one
-thread when it has fewer than THREADED_FIT_MIN_POINTS distinct points or
-runs in a campaign pool worker, where the pool already spreads runs over the
-CPUs. The threads live only for that fit. Prediction stays on the calling
-thread.
+One routine, ``_likelihoods``, evaluates the likelihood of a batch of
+hyperparameter vectors: a generation of the search, or the one vector of
+``model_at``. It walks the batch in chunks whose buffers take at most
+LIKELIHOOD_CHUNK_BYTES (at least one vector a chunk) and runs each numpy
+stage once per chunk: the kernel terms, the scatter into the chunk's
+matrices and the reductions to the likelihood. Each stage rounds every
+vector exactly as it would alone, so every likelihood is bit for bit the
+value of a one-vector evaluation.
+
+LAPACK's ``dpotrf`` and ``dtrtrs`` run per vector, called through ``ctypes``
+on the function pointers that ``scipy.linalg.cython_lapack`` exports: the
+same routines scipy's own wrappers call, but a ``ctypes`` call releases the
+GIL. So a fit splits each generation of the likelihood search into
+contiguous slices, one per thread, and joins the values in order, which
+keeps every likelihood and every search step bit for bit the same as on one
+thread. A fit uses the CPUs the process may run on, up to MAX_FIT_THREADS,
+and one thread when it has fewer than THREADED_FIT_MIN_POINTS distinct
+points or runs in a campaign pool worker, where the pool already spreads
+runs over the CPUs. The threads live only for that fit. Prediction stays on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -94,6 +103,10 @@ THREADED_FIT_MIN_POINTS = 120
 # The most threads a fit's likelihood search uses: the count the crossover
 # scans and benchmarks measured, on a 2-CPU host. More are untested.
 MAX_FIT_THREADS = 2
+# The most bytes of buffers a thread's workspace holds for one chunk of a
+# likelihood generation (see _Geometry.bytes_per_vector); a chunk has at least
+# one vector. Chosen by the per-fit scan in CHANGES.md.
+LIKELIHOOD_CHUNK_BYTES = 512 * 1024
 
 
 class DegenerateData(Exception):
@@ -177,11 +190,13 @@ class KrigingModel:
 
 # ---------------------------------------------------------------------------
 # Kernel arithmetic. Both routes (training matrix, query vectors) form
-# log|delta| in _log_abs and map it to correlations in _kernel, so each term
-# |delta_i|^p_i = exp(p_i * log|delta_i|) is bit for bit alike; log(0) = -inf
-# propagates to a clean |delta|^p = 0. The sum over dimensions is a matrix
-# product whose rounding depends on the array shape, so the two routes agree
-# to a few ulps, and exactly only at d = 1.
+# log|delta| in _log_abs, raise it to the terms |delta_i|^p_i =
+# exp(p_i * log|delta_i|) in _powered, and sum the terms to correlations in
+# _correlations. Each term is an elementwise product and exp, bit for bit
+# alike in any array layout; log(0) = -inf propagates to a clean
+# |delta|^p = 0. The sum over dimensions is a matrix product whose rounding
+# depends on the array shape, so the two routes agree to a few ulps, and
+# exactly only at d = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -190,11 +205,19 @@ def _log_abs(diffs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         return np.log(np.abs(diffs, out=out), out=out)
 
 
-def _kernel(log_abs: np.ndarray, theta: np.ndarray, power: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Correlations over the last axis of (..., d) log|delta|; ``out`` may be ``log_abs``."""
+def _powered(log_abs: np.ndarray, power: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The terms exp(power * log_abs), written to ``out``, which may be ``log_abs``."""
     np.multiply(log_abs, power, out=out)
-    np.exp(out, out=out)
-    corr = out @ theta
+    return np.exp(out, out=out)
+
+
+def _correlations(terms: np.ndarray, theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-terms @ theta): correlations over the last axis of (..., d) terms.
+
+    ``theta`` is one (d,) vector or a stack of (d, 1) columns, one per leading
+    index of ``terms``; the result is written to ``out`` when given.
+    """
+    corr = np.matmul(terms, theta, out=out)
     np.negative(corr, out=corr)
     return np.exp(corr, out=corr)
 
@@ -204,57 +227,111 @@ class _Geometry:
     workspace of a fit."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
-        n = X.shape[0]
-        self.n = n
+        n, d = X.shape
+        self.n, self.d = n, d
         rows, cols = np.triu_indices(n, 1)
-        diffs = X[rows]
+        m = len(rows)
+        # The (m, d) log-distances, padded with zero rows to whole tiles of
+        # ``tile`` rows. Seen as rows of tile * d >= 128 terms, they multiply
+        # a power vector repeated ``tile`` times in long contiguous loops,
+        # which (m, d) times a (d,) broadcast runs d terms at a time.
+        self.tile = -(-128 // d)
+        padded = np.zeros((-(-m // self.tile) * self.tile, d))
+        diffs = np.take(X, rows, axis=0, out=padded[:m])
         diffs -= X[cols]
-        self.log_diffs = _log_abs(diffs, out=diffs)  # (m, d)
-        self.rhs = np.column_stack([y, np.ones(n)])
-        # A workspace's matrix is written through a flat view of its Fortran
+        _log_abs(diffs, out=diffs)
+        self.log_tiles = padded.reshape(-1, self.tile * d)
+        # Both right-hand sides as rows: one member's (2, n) block of a
+        # workspace's solves is the (n, 2) matrix dtrtrs reads in Fortran order.
+        self.rhs = np.stack([y, np.ones(n)])
+        # A member's matrix is written through a flat view of its Fortran
         # order: entry (i, j) sits at i + j*n.
         self.lower_flat = cols + rows * n
-        self.diag_flat = np.arange(n) * (n + 1)
+
+    def bytes_per_vector(self) -> int:
+        """Bytes a chunk holds per search vector: the padded (m, d) kernel
+        terms, the powers repeated to one tile row, the (m,) correlations and
+        scatter offsets, the n x n matrix, the (n, 2) solves and three (n,)
+        temporaries of the reductions."""
+        n, m = self.n, len(self.lower_flat)
+        return 8 * (self.log_tiles.size + self.log_tiles.shape[1] + 2 * m + n * (n + 5))
 
 
 class _FitWorkspace:
-    """The buffers one thread needs to evaluate likelihoods over shared geometry."""
+    """The buffers one thread needs to evaluate the likelihoods of a chunk of
+    up to ``capacity`` search vectors over shared geometry."""
 
-    def __init__(self, geometry: _Geometry):
-        n = geometry.n
+    def __init__(self, geometry: _Geometry, capacity: int):
+        n, m = geometry.n, len(geometry.lower_flat)
         self.geometry = geometry
-        # Fortran order lets LAPACK factor and solve in place; only the lower
-        # triangle is ever filled, which is all potrf/trtrs read.
-        self.matrix = np.zeros((n, n), order="F")
-        self.flat = self.matrix.reshape(-1, order="F")
-        self.powered = np.empty_like(geometry.log_diffs)
-        self.solved = np.empty((n, 2), order="F")
-        self.sizes = (ctypes.c_int(n), ctypes.c_int(2))
+        self.capacity = capacity
+        # Offsets of every member's lower triangle in the flat buffer, so a
+        # chunk's scatter is one 1-D fancy assignment. Built first: numpy
+        # buffers the broadcast sum.
+        self.scatter = (
+            geometry.lower_flat
+            if capacity == 1
+            else (geometry.lower_flat + n * n * np.arange(capacity)[:, None]).ravel()
+        )
+        self.power_tiles = np.empty((capacity, 1, geometry.log_tiles.shape[1]))
+        self.powered = np.empty((capacity, *geometry.log_tiles.shape))
+        self.terms = self.powered.reshape(capacity, -1, geometry.d)[:, :m]
+        self.corr = np.empty((capacity, m))
+        self.corr_flat = self.corr.reshape(-1)
+        # Member k's matrix, in the Fortran order LAPACK factors and solves in
+        # place, is matrices[k].T; only its lower triangle is ever filled,
+        # which is all potrf/trtrs read.
+        self.matrices = np.zeros((capacity, n, n))
+        self.flat = self.matrices.reshape(-1)
+        self.diagonals = self.matrices.reshape(capacity, n * n)[:, :: n + 1]
+        self.solved = np.empty((capacity, 2, n))
         self.info = ctypes.c_int()
-        # LAPACK arguments, built once from addresses that stay valid while
-        # this workspace holds the objects behind them.
-        order, columns, info = (ctypes.addressof(c) for c in (*self.sizes, self.info))
-        matrix, solved = self.matrix.ctypes.data, self.solved.ctypes.data
-        self.potrf_args = (b"L", order, matrix, order, info)
-        self.trtrs_args = (b"L", b"N", b"N", order, columns, matrix, order, solved, order, info)
+        # LAPACK arguments, from addresses that stay valid while this
+        # workspace holds the objects behind them; member k's matrix and
+        # solves sit k strides past the first member's.
+        self.sizes = (ctypes.c_int(n), ctypes.c_int(2))
+        self.order, self.columns, self.info_address = (
+            ctypes.addressof(c) for c in (*self.sizes, self.info)
+        )
+        self.matrix_address, self.solved_address = self.matrices.ctypes.data, self.solved.ctypes.data
+        self.matrix_stride, self.solved_stride = self.matrices.strides[0], self.solved.strides[0]
 
 
-class _LikelihoodTerms(NamedTuple):  # a tuple: the cheapest record to build per evaluation
-    nll: float
-    mu_hat: float
-    sigma2_hat: float
-    chol: np.ndarray
-    nugget: float  # effective value after any jitter escalation
+def _row_dots(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (B,) dot products of the rows of (B, n) ``a`` and ``b``, written to
+    ``out`` when given. A stack of (1, n) @ (n, 1) products takes one ddot per
+    row, so each rounds as that row's dot product alone would."""
+    out = np.empty(len(a)) if out is None else out
+    np.matmul(a[:, None, :], b[:, :, None], out=out[:, None, None])
+    return out
 
 
-def _likelihood_terms(
-    ws: _FitWorkspace, theta: np.ndarray, power: np.ndarray, nugget: float
-) -> Optional[_LikelihoodTerms]:
-    """Concentrated likelihood pieces, or None when the matrix stays indefinite.
+class _Likelihoods(NamedTuple):
+    """(B,) arrays, one entry per parameter vector: the value, the closed-form
+    process moments and the nugget after any escalation. ``failed`` lists the
+    vectors whose matrix stayed indefinite; their value is PENALTY_NLL."""
 
-    On factorization failure the nugget escalates tenfold (capped at
-    NUGGET_MAX); only if the cap still fails is None returned, which callers
-    map to a large penalty so the surrounding search keeps moving.
+    nll: np.ndarray
+    mu_hat: np.ndarray
+    sigma2_hat: np.ndarray
+    nugget: np.ndarray
+    failed: list
+
+
+def _likelihoods(
+    ws: _FitWorkspace, thetas: np.ndarray, powers: np.ndarray, nuggets: np.ndarray
+) -> _Likelihoods:
+    """Concentrated likelihoods of B parameter vectors: rows of (B, d)
+    ``thetas`` and ``powers``, and (B,) ``nuggets``, which escalate in place.
+
+    The vectors are evaluated in chunks of up to ``ws.capacity``. Each numpy
+    stage runs once per chunk and rounds every member exactly as it would
+    alone; LAPACK runs per member. The factor of the last chunk's member k is
+    left in ``ws.matrices[k].T``.
+
+    On factorization failure a member's nugget escalates tenfold (capped at
+    NUGGET_MAX); only if the cap still fails does the vector get PENALTY_NLL,
+    so the surrounding search keeps moving.
 
     On finite data the escalation is not known to run. For p <= 2 the
     power-exponential K is positive semidefinite, and the nugget is at least
@@ -264,33 +341,57 @@ def _likelihood_terms(
     calls. The escalation stays because LAPACK may still report one.
     """
     geometry = ws.geometry
-    corr = _kernel(geometry.log_diffs, theta, power, out=ws.powered)
-    n = geometry.n
-    while True:
-        # In-place factorization destroys the lower triangle, so every
-        # attempt rebuilds it from the correlation vector first.
-        ws.flat[geometry.lower_flat] = corr
-        ws.flat[geometry.diag_flat] = 1.0 + nugget
-        _potrf(*ws.potrf_args)
-        info = ws.info.value
-        if info == 0:
-            break
-        if info < 0:
-            raise RuntimeError(f"invalid factorization argument {-info}")
-        if nugget >= NUGGET_MAX:
-            return None
-        nugget = min(nugget * 10.0, NUGGET_MAX)
+    n, m, total = geometry.n, len(geometry.lower_flat), len(nuggets)
+    mu_hat, squares, half_log_det = np.empty(total), np.empty(total), np.empty(total)
+    diagonal_values = (1.0 + nuggets)[:, None]
+    failed = []
+    for start in range(0, total, ws.capacity):
+        stop = min(start + ws.capacity, total)
+        count = stop - start
+        power_tiles = ws.power_tiles[:count]
+        power_tiles.reshape(count, geometry.tile, -1)[...] = powers[start:stop, None, :]
+        _powered(geometry.log_tiles, power_tiles, out=ws.powered[:count])
+        _correlations(ws.terms[:count], thetas[start:stop, :, None], out=ws.corr[:count, :, None])
+        corr = ws.corr_flat[: count * m]
+        ws.flat[ws.scatter[: corr.size]] = corr
+        diagonals = ws.diagonals[:count]
+        diagonals[...] = diagonal_values[start:stop]
+        ws.solved[:count] = geometry.rhs
+        for k in range(count):
+            matrix = ws.matrix_address + k * ws.matrix_stride
+            _potrf(b"L", ws.order, matrix, ws.order, ws.info_address)
+            while ws.info.value:
+                if ws.info.value < 0:
+                    raise RuntimeError(f"invalid factorization argument {-ws.info.value}")
+                if nuggets[start + k] >= NUGGET_MAX:
+                    failed.append(start + k)
+                    diagonals[k] = 1.0  # keeps the reductions below finite
+                    break
+                nuggets[start + k] = min(nuggets[start + k] * 10.0, NUGGET_MAX)
+                # In-place factorization destroys the lower triangle, so every
+                # attempt rebuilds it from the correlations first.
+                member = slice(k * m, (k + 1) * m)
+                ws.flat[ws.scatter[member]] = corr[member]
+                diagonals[k] = 1.0 + nuggets[start + k]
+                _potrf(b"L", ws.order, matrix, ws.order, ws.info_address)
+            else:
+                _trtrs(b"L", b"N", b"N", ws.order, ws.columns, matrix, ws.order,
+                       ws.solved_address + k * ws.solved_stride, ws.order, ws.info_address)
 
-    lower = ws.matrix
-    ws.solved[...] = geometry.rhs
-    _trtrs(*ws.trtrs_args)
-    y_white, ones_white = ws.solved[:, 0], ws.solved[:, 1]
-    mu_hat = float(ones_white @ y_white) / float(ones_white @ ones_white)
-    residual = y_white - mu_hat * ones_white
-    sigma2_hat = max(float(residual @ residual) / n, SIGMA2_FLOOR)
-    half_log_det = float(np.log(lower.diagonal()).sum())  # the view np.diag returns
+        # The row dots and the log of the strided diagonal view, summed
+        # pairwise per row, round as one member alone would.
+        y_white, ones_white = ws.solved[:count, 0], ws.solved[:count, 1]
+        mu = np.divide(
+            _row_dots(ones_white, y_white), _row_dots(ones_white, ones_white), out=mu_hat[start:stop]
+        )
+        residual = y_white - mu[:, None] * ones_white
+        _row_dots(residual, residual, out=squares[start:stop])
+        np.add.reduce(np.log(diagonals), axis=1, out=half_log_det[start:stop])
+
+    sigma2_hat = np.maximum(squares / n, SIGMA2_FLOOR)
     nll = 0.5 * n * np.log(sigma2_hat) + half_log_det
-    return _LikelihoodTerms(float(nll), mu_hat, sigma2_hat, lower, nugget)
+    nll[failed] = PENALTY_NLL
+    return _Likelihoods(nll, mu_hat, sigma2_hat, nuggets, failed)
 
 
 def _mle_bounds(dimension: int) -> BoxBounds:
@@ -311,13 +412,13 @@ def _mle_bounds(dimension: int) -> BoxBounds:
     return BoxBounds(lower, upper)
 
 
-def _decode(vector: np.ndarray, dimension: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Search vector -> (theta, power, nugget); theta and nugget live in log10 scale."""
-    return (
-        10.0 ** vector[:dimension],
-        vector[dimension : 2 * dimension],
-        float(10.0 ** vector[2 * dimension]),
-    )
+def _decode(vectors: np.ndarray, dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, 2d+1) search vectors -> (B, d) theta, (B, d) power and (B,) nugget;
+    theta and nugget live in log10 scale."""
+    # The nugget is raised one numpy scalar at a time: the vectorized power
+    # rounds differently on hosts with SIMD math (AVX-512 among them).
+    nuggets = [10.0 ** v for v in vectors[:, 2 * dimension]]
+    return 10.0 ** vectors[:, :dimension], vectors[:, dimension : 2 * dimension], np.array(nuggets)
 
 
 def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PARAM) -> KrigingModel:
@@ -336,12 +437,12 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
 
     d = data.dimension
     geometry = _Geometry(data.X, data.y)
-    workspaces = [_FitWorkspace(geometry) for _ in range(_fit_threads(data.n))]
+    capacity = max(1, LIKELIHOOD_CHUNK_BYTES // geometry.bytes_per_vector())
+    workspaces = [_FitWorkspace(geometry, capacity) for _ in range(_fit_threads(data.n))]
 
     def slice_values(ws: _FitWorkspace, vectors: np.ndarray) -> np.ndarray:
         with flush_subnormals():  # MXCSR is per thread, so each slice sets it
-            terms = [_likelihood_terms(ws, *_decode(vector, d)) for vector in vectors]
-        return np.array([PENALTY_NLL if t is None else t.nll for t in terms])
+            return _likelihoods(ws, *_decode(vectors, d)).nll
 
     # An executor starts no thread before its first submit, so a one-thread
     # fit starts none.
@@ -360,7 +461,8 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
     # Free the search's buffers first, so a fit never holds them and model_at's at once.
     del geometry, workspaces, objective
 
-    model = model_at(data, KrigingHyperparameters(*_decode(result.x_best, d)))
+    (theta,), (power,), (nugget,) = _decode(result.x_best[None], d)
+    model = model_at(data, KrigingHyperparameters(theta, power, float(nugget)))
     return replace(model, nll_evaluations=result.evaluations_used)
 
 
@@ -400,23 +502,24 @@ def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
     The nugget escalates as in the likelihood search, and the model carries
     the value that factored; DegenerateData if even NUGGET_MAX does not.
     """
-    ws = _FitWorkspace(_Geometry(data.X, data.y))
-    terms = _likelihood_terms(ws, params.theta, params.power, params.nugget)
-    if terms is None:
+    ws = _FitWorkspace(_Geometry(data.X, data.y), capacity=1)
+    terms = _likelihoods(ws, params.theta[None], params.power[None], np.array([params.nugget]))
+    if terms.failed:
         raise DegenerateData("no positive definite correlation matrix found")
-    # The workspace factor shares memory with the scratch matrix and carries a
-    # stale upper triangle; keep a clean private copy on the model.
-    chol = np.tril(terms.chol)
-    centered = data.y - terms.mu_hat
+    # The factor lives in the workspace's scratch matrix; keep a private copy
+    # of its lower triangle on the model.
+    chol = np.tril(ws.matrices[0].T)
+    mu_hat = float(terms.mu_hat[0])
+    centered = data.y - mu_hat
     alpha = solve_triangular(chol, solve_triangular(chol, centered), transposed=True)
     return KrigingModel(
         data=data,
-        params=replace(params, nugget=terms.nugget),
+        params=replace(params, nugget=float(terms.nugget[0])),
         chol=chol,
         alpha=alpha,
-        mu_hat=terms.mu_hat,
-        sigma2_hat=terms.sigma2_hat,
-        neg_log_likelihood=terms.nll,
+        mu_hat=mu_hat,
+        sigma2_hat=float(terms.sigma2_hat[0]),
+        neg_log_likelihood=float(terms.nll[0]),
     )
 
 
@@ -433,7 +536,8 @@ def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, 
     # One (m, n, d) buffer, transformed in place. The contraction stays on this 3-D
     # shape: a (m*n, d) or (d, m, n) layout rounds differently at d=10.
     buf = points[:, None, :] - model.data.X[None, :, :]
-    corr = _kernel(_log_abs(buf, out=buf), model.params.theta, model.params.power, out=buf)
+    terms = _powered(_log_abs(buf, out=buf), model.params.power, out=buf)
+    corr = _correlations(terms, model.params.theta)
     means = model.mu_hat + corr @ model.alpha
     whitened = solve_triangular(model.chol, corr.T)
     variances = model.sigma2_hat * (

@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import os
 import threading
 import tracemalloc
@@ -7,11 +9,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import infillbench.de as de
 import infillbench.kriging as kriging
 from infillbench.design import latin_hypercube
 from infillbench.kriging import (
+    LIKELIHOOD_CHUNK_BYTES,
     MAX_FIT_THREADS,
     NUGGET_LOG10_BOUNDS,
+    PENALTY_NLL,
     POWER_BOUNDS,
     THETA_LOG10_BOUNDS,
     THREADED_FIT_MIN_POINTS,
@@ -69,6 +74,37 @@ def smooth_dataset(rng, n, d):
     coeffs = rng.uniform(-1.0, 1.0, d)
     y = np.sin(x @ coeffs) + 0.3 * (x**2).sum(axis=1)
     return Dataset(x, y)
+
+
+def numeric_host():
+    """What the exact bits of a fit depend on besides the code: the numpy and
+    scipy versions, the SIMD targets numpy dispatches to here (its float64
+    exp and log take an AVX-512 path only on some CPUs) and the runtime core
+    of the OpenBLAS each package bundles (f13's rotation goes through numpy's
+    BLAS, the Cholesky through scipy's LAPACK). A core that cannot be read is
+    None."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+
+    def openblas_core(package):
+        libraries = os.path.join(os.path.dirname(package.__file__), "..", package.__name__ + ".libs")
+        for path in glob.glob(os.path.join(libraries, "*openblas*")):
+            library = ctypes.CDLL(path)
+            for prefix in ("scipy_openblas", "openblas"):
+                for name in (f"{prefix}_get_corename64_", f"{prefix}_get_corename"):
+                    if hasattr(library, name):
+                        getattr(library, name).restype = ctypes.c_char_p
+                        return getattr(library, name)().decode()
+        return None
+
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "simd": sorted(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)),
+        "openblas": [openblas_core(np), openblas_core(scipy)],
+    }
 
 
 def f13_dataset(d, n):
@@ -290,6 +326,123 @@ class TestFit:
         assert np.abs(model.chol @ model.chol.T - target).max() <= 1e-8
 
 
+def chunk_vectors(d, n):
+    """Search vectors per chunk of a fit on n points in d dimensions: the fit's
+    LIKELIHOOD_CHUNK_BYTES over the bytes one vector takes. Those are its
+    kernel terms, (m, d) for m = n(n-1)/2 pairs padded to whole tiles of
+    ceil(128 / d) rows, its powers repeated to one tile row, its (m,)
+    correlations and scatter offsets, n x n matrix, (n, 2) solves and three
+    (n,) reduction temporaries."""
+    m, tile = n * (n - 1) // 2, -(-128 // d)
+    padded = -(-m // tile) * tile
+    return max(1, LIKELIHOOD_CHUNK_BYTES // (8 * ((padded + tile) * d + 2 * m + n * (n + 5))))
+
+
+def search_population(d):
+    """Vectors in one generation of a likelihood search over 2d + 1 parameters."""
+    return min(10 * (2 * d + 1), 50)
+
+
+class TestSearchValues:
+    """Every likelihood a fit's search sees is the value of the one-vector path
+    that model_at takes, whatever the chunking of its generations."""
+
+    # (d, n): a generation spans several chunks, fits in one, or goes one
+    # vector per chunk.
+    CASES = {
+        "several_chunks": [(1, 60), (2, 39), (5, 40), (10, 39)],
+        "one_chunk": [(1, 25), (2, 16), (5, 12), (10, 10)],
+        "one_vector": [(1, 180), (2, 150), (5, 120), (10, 100)],
+    }
+
+    @staticmethod
+    def record_search(monkeypatch, data, evals_per_param):
+        calls, original = [], de.minimize
+
+        def recording(objective, *args, **kwargs):
+            def recorded(vectors):
+                values = objective(vectors)
+                calls.append((vectors.copy(), np.array(values)))
+                return values
+
+            return original(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(de, "minimize", recording)
+        fit(data, seed=4, evals_per_param=evals_per_param)
+        return calls
+
+    @pytest.mark.parametrize(
+        "regime, d, n", [(regime, d, n) for regime, cases in CASES.items() for d, n in cases]
+    )
+    def test_values_match_model_at(self, monkeypatch, regime, d, n):
+        per_chunk, population = chunk_vectors(d, n), search_population(d)
+        assert {
+            "several_chunks": 1 < per_chunk < population,
+            "one_chunk": per_chunk >= population,
+            "one_vector": per_chunk == 1,
+        }[regime]
+        data = smooth_dataset(np.random.default_rng(100 * d + n), n, d)
+        evals_per_param = 6  # two full generations and a partial third
+        calls = self.record_search(monkeypatch, data, evals_per_param)
+        assert sum(len(values) for _, values in calls) == evals_per_param * (2 * d + 1)
+        for vectors, values in calls:
+            for v, value in zip(vectors, values):
+                params = KrigingHyperparameters(10.0 ** v[:d], v[d : 2 * d], 10.0 ** v[2 * d])
+                if value == PENALTY_NLL:
+                    with pytest.raises(DegenerateData):
+                        model_at(data, params)
+                else:
+                    assert model_at(data, params).neg_log_likelihood == value
+
+    # Fitted hyperparameters and likelihood of an f13 design, as float.hex,
+    # recorded before the search evaluated its generations in chunks, on the
+    # host GOLDEN_HOST describes. Elsewhere the same code may round otherwise.
+    GOLDEN_HOST = {
+        "numpy": "2.4.6",
+        "scipy": "1.17.1",
+        "simd": ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"],
+        "openblas": ["SkylakeX", "SkylakeX"],
+    }
+    GOLDEN = {
+        (2, 12, 100): (
+            ["0x1.3afad8350779dp-5", "0x1.06be3c69a8a38p-4"],
+            ["0x1.86937353db1bdp+0", "0x1.0000000000000p+1"],
+            "0x1.9274b361da3cfp-14",
+            "0x1.b57e4ae44389ap+5",
+        ),
+        (2, 39, 100): (
+            ["0x1.45a73a520d666p-4", "0x1.80719d80bcfdap-4"],
+            ["0x1.ea710585ea826p+0", "0x1.0000000000000p+1"],
+            "0x1.a36e2eb1c432dp-14",
+            "0x1.25265bd0d8129p+7",
+        ),
+        (10, 150, 20): (
+            ["0x1.0d57c0dbc8a34p-6", "0x1.0624dd2f1a9fcp-10", "0x1.59a254c5a80fdp-10",
+             "0x1.faf888947cfe5p-7", "0x1.0624dd2f1a9fcp-10", "0x1.a647fa1cef378p-4",
+             "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.444f468b18024p-3",
+             "0x1.4d12cc747db48p-9"],
+            ["0x1.be7541c1b4d4ep+0", "0x1.0000000000000p+1", "0x1.3390c25785390p-3",
+             "0x1.d09f189c91ed2p-1", "0x1.4905084c278acp+0", "0x1.a0132aaab0c45p+0",
+             "0x1.aacde2badeccdp+0", "0x1.1f7d5f6ceaacep+0", "0x1.0000000000000p+1",
+             "0x1.0000000000000p+1"],
+            "0x1.d8dfd84d5a11dp-24",
+            "0x1.797ae17618cd4p+9",
+        ),
+    }
+
+    @pytest.mark.parametrize("d, n, evals_per_param", sorted(GOLDEN))
+    def test_golden_fit(self, d, n, evals_per_param):
+        host = numeric_host()
+        if host != self.GOLDEN_HOST:
+            pytest.skip(f"golden bits were recorded on {self.GOLDEN_HOST}, not this host {host}")
+        theta, power, nugget, nll = self.GOLDEN[d, n, evals_per_param]
+        model = fit(f13_dataset(d, n), seed=5, evals_per_param=evals_per_param)
+        assert [x.hex() for x in model.params.theta] == theta
+        assert [x.hex() for x in model.params.power] == power
+        assert type(model.params.nugget) is float and model.params.nugget.hex() == nugget
+        assert type(model.neg_log_likelihood) is float and model.neg_log_likelihood.hex() == nll
+
+
 class TestThreadedFit:
     def test_bit_identical_to_one_thread(self, threaded_and_serial_fits):
         (threaded, threads, _), (serial, serial_threads, _) = threaded_and_serial_fits
@@ -328,6 +481,25 @@ class TestThreadedFit:
         per_thread = 8 * (m * d + m + n * n + 2 * n)
         assert serial_peak <= 1.05 * (shared + per_thread + model)
         assert peak <= 1.05 * (shared + MAX_FIT_THREADS * per_thread + model)
+
+    def test_peak_memory_of_a_chunked_fit_is_bounded_by_the_chunk_budget(self):
+        # A one-thread fit whose generations go in chunks of many vectors
+        # holds the shared geometry ((m, d) log-distances, the (m,) scatter
+        # offsets and the (2, n) right-hand sides), at most
+        # LIKELIHOOD_CHUNK_BYTES of chunk buffers, and the model's factor.
+        # Two fixed costs come on top, whatever the chunk size: numpy's
+        # iterator buffers, getbufsize() elements for each operand of the
+        # kernel's broadcast product, and the search's sort keys and sort
+        # order of a generation, which live while the generation is evaluated.
+        n, d = 39, 2
+        population = search_population(d)
+        assert 1 < chunk_vectors(d, n) < population
+        _, threads, peak = fit_recording_threads(f13_dataset(d, n))
+        assert len(threads) == 1
+        m = n * (n - 1) // 2
+        shared, model = 8 * (m * d + m + 2 * n), 8 * n * n
+        fixed = 8 * (2 * np.getbufsize() + 2 * population * (population - 1))
+        assert peak <= 1.05 * (shared + LIKELIHOOD_CHUNK_BYTES + model) + fixed
 
 
 class TestPredict:
