@@ -23,7 +23,6 @@ def main():
         dimensions=(2,),
         instances=(1, 2),
         criteria=("ei", "pm", "random"),
-        repeats=1,
         total_budget=30,
         base_seed=2024,
         output_dir=str(out_dir),

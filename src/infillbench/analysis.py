@@ -182,9 +182,9 @@ class DominationCell:
 def domination_matrix(logs: Iterable[RunLog], alpha: float = DEFAULT_ALPHA) -> list[DominationCell]:
     """Which criterion wins where: significance plus a strictly smaller median.
 
-    Runs are pooled per (function, dimension, criterion) across instances and
-    repeats; random-search baselines are ignored. Needs at least two EI and
-    two PM runs per group. ``alpha`` must lie in [0, 1): at 0 no comparison
+    Runs are pooled per (function, dimension, criterion) across instances;
+    random-search baselines are ignored. Needs at least two EI and two PM
+    runs per group. ``alpha`` must lie in [0, 1): at 0 no comparison
     is significant, and at 1 or above every one would be.
     """
     if not 0.0 <= alpha < 1.0:

@@ -1,16 +1,18 @@
 """Campaign execution: expand a config grid into runs and execute them.
 
-A campaign is the cross product (functions x dimensions x instances x
-criteria x repeats); each cell becomes one run with a seed derived from the
-campaign's base seed, one CSV log, and one manifest entry. Re-running skips,
-unless forced, each log that the previous manifest lists with the planned
-settings and that ``smbo.read_run_log`` reads back; ``smbo`` alone knows the
-log and manifest formats. Runs execute on a process pool; the parent alone
-writes the manifest, through ``smbo.write_manifest``, as each run finishes.
+A campaign is the grid functions x dimensions x instances x criteria; as in
+the BBOB setup, instances supply the replication, one run each. Each cell
+becomes one run with a seed derived from the campaign's base seed, one CSV
+log, and one manifest entry. Re-running skips, unless forced, each log that
+the previous manifest lists with the planned settings and that
+``smbo.read_run_log`` reads back; ``smbo`` alone knows the log and manifest
+formats. Runs execute on a process pool; the parent alone writes the
+manifest, through ``smbo.write_manifest``, as each run finishes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
@@ -41,7 +43,6 @@ class CampaignConfig:
     dimensions: tuple[int, ...]
     criteria: tuple[InfillCriterion, ...]
     instances: tuple[int, ...] = INSTANCE_IDS
-    repeats: int = 1
     total_budget: int = RunConfig.total_budget
     initial_design_size: int = RunConfig.initial_design_size
     base_seed: int = 0
@@ -58,36 +59,29 @@ class CampaignConfig:
         )
         if not (self.functions and self.dimensions and self.instances and self.criteria):
             raise ConfigParseError("functions, dimensions, instances, and criteria must be non-empty")
-        if self.repeats < 1 or self.workers < 1:
-            raise ConfigParseError("repeats and workers must be positive")
+        if self.workers < 1:
+            raise ConfigParseError("workers must be positive")
         known = {entry.function_id for entry in list_suite()}
         unknown = sorted(set(self.functions) - known)
         if unknown:
             raise UnknownFunction(f"function ids {unknown} not in suite {sorted(known)}")
 
     def run_configs(self) -> list[RunConfig]:
-        configs = []
-        for function_id in self.functions:
-            for dimension in self.dimensions:
-                for instance_id in self.instances:
-                    for criterion in self.criteria:
-                        for repeat in range(self.repeats):
-                            configs.append(
-                                RunConfig(
-                                    function_id=function_id,
-                                    dimension=dimension,
-                                    instance_id=instance_id,
-                                    infill=criterion,
-                                    total_budget=self.total_budget,
-                                    initial_design_size=self.initial_design_size,
-                                    seed=derive_run_seed(
-                                        self.base_seed, function_id, dimension,
-                                        instance_id, criterion, repeat,
-                                    ),
-                                    mle_evals_per_param=self.mle_evals_per_param,
-                                )
-                            )
-        return configs
+        return [
+            RunConfig(
+                function_id=function_id,
+                dimension=dimension,
+                instance_id=instance_id,
+                infill=criterion,
+                total_budget=self.total_budget,
+                initial_design_size=self.initial_design_size,
+                seed=derive_run_seed(self.base_seed, function_id, dimension, instance_id, criterion),
+                mle_evals_per_param=self.mle_evals_per_param,
+            )
+            for function_id, dimension, instance_id, criterion in itertools.product(
+                self.functions, self.dimensions, self.instances, self.criteria
+            )
+        ]
 
 
 # Settings that change how a campaign executes, never what its runs produce;
@@ -119,12 +113,13 @@ def derive_run_seed(
     dimension: int,
     instance_id: int,
     criterion: InfillCriterion,
-    repeat: int,
 ) -> int:
     """Deterministic 64-bit run seed from the campaign coordinates."""
+    # The trailing 0 was a repeat index, and every run so far had index 0;
+    # keeping it keeps every seed, log name and cached log valid.
     seq = np.random.SeedSequence(
         (base_seed, function_id, dimension, instance_id,
-         _CRITERION_CODES[InfillCriterion(criterion)], repeat)
+         _CRITERION_CODES[InfillCriterion(criterion)], 0)
     )
     return int(seq.generate_state(1, np.uint64)[0])
 

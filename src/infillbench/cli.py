@@ -61,8 +61,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--output-dir", help="override the config's output directory")
     p_run.add_argument("--workers", type=int, help="override the worker count")
     p_run.add_argument("--base-seed", type=int, help="override the base seed")
-    p_run.add_argument("--total-budget", type=int, help="override the evaluation budget")
-    p_run.add_argument("--repeats", type=int, help="override repeats per instance")
 
     p_analyze = sub.add_parser("analyze", help="compare criteria over a log directory")
     p_analyze.add_argument("log_dir", help="directory of run CSVs")

@@ -65,8 +65,8 @@ def minimize(
         # Trials for the full generation are always generated (three distinct
         # partners per member via random sort keys, then binomial crossover)
         # so the random stream does not depend on where the budget runs out.
-        keys = rng.random((n_pop, n_pop - 1))
-        partners = np.argsort(keys, axis=1)[:, :3]
+        # The copy frees the sort keys and order before the objective runs.
+        partners = np.argsort(rng.random((n_pop, n_pop - 1)), axis=1)[:, :3].copy()
         partners += partners >= member_range[:, None]  # skip the member itself
         r1, r2, r3 = (population[partners[:, k]] for k in range(3))
         mutants = np.clip(r1 + DIFFERENTIAL_WEIGHT * (r2 - r3), bounds.lower, bounds.upper)

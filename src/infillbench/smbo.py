@@ -153,28 +153,22 @@ def run(config: RunConfig) -> RunLog:
     # A constant-valued design cannot identify a surrogate; such a run keeps
     # going on random proposals and says so in its log.
     degenerate = config.infill.model_based and float(np.ptp(values[:n_init])) == 0.0
+    criterion = InfillCriterion.RANDOM_SEARCH if degenerate else config.infill
 
     for k in range(n_init + 1, budget + 1):
         started = time.perf_counter()
-        nll: Optional[float] = None
-        if config.infill.model_based and not degenerate:
+        model = None
+        if criterion.model_based:
             model = fit(
                 Dataset(points[: k - 1], values[: k - 1]),
                 substream_seed(config.seed, _STREAM_FIT, k),
                 evals_per_param=config.mle_evals_per_param,
             )
-            y_best = float(values[: k - 1].min())
-            x_next = propose(
-                model, config.infill, bounds, y_best,
-                substream_seed(config.seed, _STREAM_PROPOSE, k),
-            )
-            nll = model.neg_log_likelihood
-        else:
-            x_next = propose(
-                None, InfillCriterion.RANDOM_SEARCH, bounds, np.nan,
-                substream_seed(config.seed, _STREAM_PROPOSE, k),
-            )
-        record_evaluation(k, x_next, started, nll)
+        x_next = propose(
+            model, criterion, bounds, float(values[: k - 1].min()),
+            substream_seed(config.seed, _STREAM_PROPOSE, k),
+        )
+        record_evaluation(k, x_next, started, None if model is None else model.neg_log_likelihood)
 
     return RunLog(
         config=config,

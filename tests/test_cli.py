@@ -23,7 +23,6 @@ def small_campaign(tmp_path, **overrides):
         "dimensions": [2],
         "instances": [1, 2],
         "criteria": ["ei", "pm"],
-        "repeats": 1,
         "total_budget": 14,
         "initial_design_size": 10,
         "base_seed": 7,
@@ -48,15 +47,21 @@ class TestCampaignConfig:
         assert not (tmp_path / "runs").exists()
 
     def test_unknown_keys_rejected(self, tmp_path):
-        with pytest.raises(ConfigParseError, match="bogus"):
-            load_campaign_config(write_config(tmp_path, small_campaign(tmp_path, bogus=1)))
+        # no "repeats" key: instances supply the replication, one run per grid cell
+        for key in ("bogus", "repeats"):
+            with pytest.raises(ConfigParseError, match=key):
+                load_campaign_config(write_config(tmp_path, small_campaign(tmp_path, **{key: 1})))
 
     def test_seed_derivation_is_stable_and_distinct(self):
-        seed = derive_run_seed(7, 3, 2, 1, InfillCriterion.EXPECTED_IMPROVEMENT, 0)
-        again = derive_run_seed(7, 3, 2, 1, InfillCriterion.EXPECTED_IMPROVEMENT, 0)
-        other = derive_run_seed(7, 3, 2, 1, InfillCriterion.PREDICTED_VALUE, 0)
+        seed = derive_run_seed(7, 3, 2, 1, InfillCriterion.EXPECTED_IMPROVEMENT)
+        again = derive_run_seed(7, 3, 2, 1, InfillCriterion.EXPECTED_IMPROVEMENT)
+        other = derive_run_seed(7, 3, 2, 1, InfillCriterion.PREDICTED_VALUE)
         assert seed == again
         assert seed != other
+
+    def test_run_seeds_match_the_cached_logs(self):
+        # the seed in the name of .acceptance_cache/high_dim_10d's first log
+        assert derive_run_seed(1, 3, 10, 1, "ei") == 12524078687319666353
 
 
 class TestRunCommand:
@@ -172,14 +177,14 @@ class TestRunCommand:
     def test_budget_below_design_is_config_error_before_any_io(self, tmp_path):
         out_dir = tmp_path / "X"
         cases = [
-            ({}, ["--total-budget", "5"]),
-            ({"instances": [1, 16]}, []),  # instance ids run 1..15
-            ({"instances": []}, []),
-            ({"dimensions": [2, 1]}, []),  # instances need d >= 2
+            {"total_budget": 5},
+            {"instances": [1, 16]},  # instance ids run 1..15
+            {"instances": []},
+            {"dimensions": [2, 1]},  # instances need d >= 2
         ]
-        for overrides, flags in cases:
+        for overrides in cases:
             config = write_config(tmp_path, small_campaign(tmp_path, **overrides))
-            assert main(["run", str(config), *flags, "--output-dir", str(out_dir)]) == EXIT_CONFIG
+            assert main(["run", str(config), "--output-dir", str(out_dir)]) == EXIT_CONFIG
             assert not out_dir.exists(), overrides
 
     def test_fit_budget_below_de_population_completes(self, tmp_path):
@@ -195,29 +200,25 @@ class TestRunCommand:
     def test_overrides_reach_runs_and_manifest(self, tmp_path):
         config = write_config(tmp_path, small_campaign(tmp_path, criteria=["pm", "random"]))
         out_dir = tmp_path / "overridden"
-        argv = ["run", str(config), "--base-seed", "11", "--total-budget", "12",
-                "--repeats", "2", "--output-dir", str(out_dir)]
+        argv = ["run", str(config), "--base-seed", "11", "--output-dir", str(out_dir)]
         assert main(argv) == EXIT_OK
         assert not (tmp_path / "runs").exists()
         manifest = json.loads((out_dir / "manifest.json").read_text())
         runs = manifest["runs"]
-        # 2 instances x 2 criteria, doubled by --repeats 2
-        assert len(runs) == 2 * 4
+        assert len(runs) == 4  # 2 instances x 2 criteria
         expected_seeds = sorted(
-            derive_run_seed(11, 3, 2, instance, criterion, repeat)
+            derive_run_seed(11, 3, 2, instance, criterion)
             for instance in (1, 2)
             for criterion in (InfillCriterion.PREDICTED_VALUE, InfillCriterion.RANDOM_SEARCH)
-            for repeat in (0, 1)
         )
         assert sorted(entry["seed"] for entry in runs) == expected_seeds
-        assert all(entry["total_budget"] == 12 for entry in runs)
+        assert all(entry["total_budget"] == 14 for entry in runs)
         assert manifest["campaign"] == {
             "functions": [3],
             "dimensions": [2],
             "criteria": ["pm", "random"],
             "instances": [1, 2],
-            "repeats": 2,
-            "total_budget": 12,
+            "total_budget": 14,
             "initial_design_size": 10,
             "base_seed": 11,
             "mle_evals_per_param": 40,

@@ -487,10 +487,9 @@ class TestThreadedFit:
         # holds the shared geometry ((m, d) log-distances, the (m,) scatter
         # offsets and the (2, n) right-hand sides), at most
         # LIKELIHOOD_CHUNK_BYTES of chunk buffers, and the model's factor.
-        # Two fixed costs come on top, whatever the chunk size: numpy's
-        # iterator buffers, getbufsize() elements for each operand of the
-        # kernel's broadcast product, and the search's sort keys and sort
-        # order of a generation, which live while the generation is evaluated.
+        # numpy's iterator buffers come on top, whatever the chunk size:
+        # getbufsize() elements for each operand of the kernel's broadcast
+        # product.
         n, d = 39, 2
         population = search_population(d)
         assert 1 < chunk_vectors(d, n) < population
@@ -498,7 +497,7 @@ class TestThreadedFit:
         assert len(threads) == 1
         m = n * (n - 1) // 2
         shared, model = 8 * (m * d + m + 2 * n), 8 * n * n
-        fixed = 8 * (2 * np.getbufsize() + 2 * population * (population - 1))
+        fixed = 8 * 2 * np.getbufsize()
         assert peak <= 1.05 * (shared + LIKELIHOOD_CHUNK_BYTES + model) + fixed
 
 
