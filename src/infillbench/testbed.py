@@ -18,7 +18,6 @@ import numpy as np
 
 from .design import BoxBounds
 
-SUPPORTED_DIMENSIONS = (2, 3, 5, 10)
 INSTANCE_IDS = tuple(range(1, 16))
 SHIFT_RANGE = 4.0
 DEFAULT_BOX = 5.0
@@ -117,7 +116,6 @@ class SuiteEntry:
     tags: tuple[str, ...]
     rotated: bool
     base: Callable[[np.ndarray], float]
-    dimensions: tuple[int, ...] = SUPPORTED_DIMENSIONS
 
 
 _SUITE: tuple[SuiteEntry, ...] = (
@@ -240,7 +238,6 @@ def suite_manifest() -> list[dict]:
             "function_id": entry.function_id,
             "name": entry.name,
             "tags": list(entry.tags),
-            "dimensions": list(entry.dimensions),
             "rotated": entry.rotated,
         }
         for entry in _SUITE

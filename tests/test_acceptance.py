@@ -17,13 +17,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import infillbench.infill as infill_module
 import infillbench.smbo as smbo_module
 from infillbench.analysis import wilcoxon_rank_sum
 from infillbench.campaign import CampaignConfig, run_campaign
 from infillbench.design import BoxBounds, latin_hypercube
 from infillbench.infill import InfillCriterion, improvement_from_moments
-from infillbench.kriging import Dataset, KrigingHyperparameters, fit, model_at, predict_batch
+from infillbench.kriging import (
+    Dataset,
+    KrigingHyperparameters,
+    Query,
+    fit,
+    model_at,
+    predict_batch,
+)
 from infillbench.smbo import RunConfig, read_run_logs, run
 
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
@@ -241,13 +247,16 @@ def test_criterion_5_budget_accounting(monkeypatch):
         return model
 
     proposal_rows = []
-    real_batch = infill_module.predict_batch
     real_propose = smbo_module.propose
     row_counter = {"n": 0}
 
-    def counting_batch(model, points):
-        row_counter["n"] += np.atleast_2d(points).shape[0]
-        return real_batch(model, points)
+    def counting(query_method):
+        # Proposals query the model only through a Query's means or moments.
+        def counted(query, points):
+            row_counter["n"] += np.atleast_2d(points).shape[0]
+            return query_method(query, points)
+
+        return counted
 
     def tracking_propose(model, criterion, bounds, y_best, seed):
         row_counter["n"] = 0
@@ -259,7 +268,8 @@ def test_criterion_5_budget_accounting(monkeypatch):
     monkeypatch.setattr(smbo_module, "evaluate", counting_evaluate)
     monkeypatch.setattr(smbo_module, "fit", tracking_fit)
     monkeypatch.setattr(smbo_module, "propose", tracking_propose)
-    monkeypatch.setattr(infill_module, "predict_batch", counting_batch)
+    monkeypatch.setattr(Query, "means", counting(Query.means))
+    monkeypatch.setattr(Query, "moments", counting(Query.moments))
 
     total_budget, d = 25, 2
     for criterion in (InfillCriterion.EXPECTED_IMPROVEMENT, InfillCriterion.PREDICTED_VALUE):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-import infillbench.infill as infill_module
 from infillbench.design import BoxBounds
 from infillbench.infill import InfillCriterion, improvement_from_moments, propose
-from infillbench.kriging import Dataset, fit, predict_batch
+from infillbench.kriging import Dataset, Query, fit, predict_batch
 
 
 @pytest.fixture(scope="module")
@@ -106,13 +105,17 @@ class TestPropose:
 
     def test_model_evaluation_budget_exact(self, parabola_model, monkeypatch):
         counter = {"rows": 0}
-        real_batch = infill_module.predict_batch
 
-        def counting_batch(model, points):
-            counter["rows"] += np.atleast_2d(points).shape[0]
-            return real_batch(model, points)
+        def counting(query_method):
+            # Proposals query the model only through a Query's means or moments.
+            def counted(query, points):
+                counter["rows"] += np.atleast_2d(points).shape[0]
+                return query_method(query, points)
 
-        monkeypatch.setattr(infill_module, "predict_batch", counting_batch)
+            return counted
+
+        monkeypatch.setattr(Query, "means", counting(Query.means))
+        monkeypatch.setattr(Query, "moments", counting(Query.moments))
         bounds = BoxBounds([0.0], [1.0])
         propose(parabola_model, InfillCriterion.PREDICTED_VALUE, bounds, 0.0, seed=2)
         assert counter["rows"] == 1000 * 1
@@ -125,7 +128,7 @@ class TestPropose:
         def forbidden(*args, **kwargs):
             raise AssertionError("random search must not evaluate the model")
 
-        monkeypatch.setattr(infill_module, "predict_batch", forbidden)
+        monkeypatch.setattr(Query, "__init__", forbidden)  # predict_batch builds one too
         bounds = BoxBounds.cube(2)
         proposal = propose(None, InfillCriterion.RANDOM_SEARCH, bounds, 0.0, seed=3)
         assert bounds.contains(proposal)

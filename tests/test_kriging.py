@@ -18,6 +18,7 @@ from infillbench.kriging import (
     NUGGET_LOG10_BOUNDS,
     PENALTY_NLL,
     POWER_BOUNDS,
+    Query,
     THETA_LOG10_BOUNDS,
     THREADED_FIT_MIN_POINTS,
     Dataset,
@@ -603,6 +604,60 @@ class TestPredict:
                 predict_batch(model, np.zeros(shape))
         means, variances = predict_batch(model, np.zeros(3))  # one (d,) point is one row
         assert means.shape == variances.shape == (1,)
+
+
+def unbuffered_moments(model, points):
+    """predict_batch as written before the query workspace: a broadcast
+    difference, the kernel out of place and solve_triangular on a copy of the
+    correlations, the bits every cached run log was made with."""
+    params = model.params
+    with np.errstate(divide="ignore"):
+        terms = np.exp(np.log(np.abs(points[:, None, :] - model.data.X[None])) * params.power)
+    corr = np.exp(-(terms @ params.theta))
+    means = model.mu_hat + corr @ model.alpha
+    whitened = solve_triangular(model.chol, corr.T)
+    variances = model.sigma2_hat * (1.0 + params.nugget - (whitened * whitened).sum(axis=0))
+    return means, np.maximum(variances, 0.0)
+
+
+class TestQuery:
+    """A proposal's query workspace gives the bits of the unbuffered routine,
+    for every batch size a search over its population asks for."""
+
+    @pytest.mark.parametrize("d, n", [(1, 12), (2, 25), (2, 39), (10, 150)])
+    def test_bit_identical_to_unbuffered_routine(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        data = smooth_dataset(rng, n, d)
+        params = KrigingHyperparameters(
+            10.0 ** rng.uniform(-1.5, 0.0, d) / d, rng.uniform(0.5, 2.0, d), 1e-6
+        )
+        model = model_at(data, params)
+        population = de.population_size(d)
+        query = Query(model, population)
+        for m in range(1, population + 1):
+            P = rng.uniform(-3.0, 3.0, (m, d))
+            P[0, 0] = data.X[m % n, 0]  # a shared coordinate takes the log(0) = -inf route
+            if m % 3 == 0:
+                P[-1] = data.X[m % n]  # and sometimes a whole training point
+            means, variances = unbuffered_moments(model, P)
+            np.testing.assert_array_equal(query.means(P), means)
+            got_means, got_variances = query.moments(P)
+            np.testing.assert_array_equal(got_means, means)
+            np.testing.assert_array_equal(got_variances, variances)
+            for expected, got in zip((means, variances), predict_batch(model, P)):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_answers_do_not_alias_its_buffers(self):
+        rng = np.random.default_rng(3)
+        model = model_at(smooth_dataset(rng, 9, 2), random_params(rng, 2))
+        query = Query(model, 4)
+        P = rng.uniform(-3.0, 3.0, (4, 2))
+        means = query.means(P)
+        moments = query.moments(P)
+        query.moments(rng.uniform(-3.0, 3.0, (4, 2)))
+        np.testing.assert_array_equal(query.means(P), means)
+        for expected, got in zip(moments, query.moments(P)):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestSolveTriangular:
