@@ -1,9 +1,9 @@
 """Rank-based comparison and aggregation of optimization runs.
 
 Provides the Wilcoxon rank-sum (Mann-Whitney) test with exact small-sample
-p-values, a per-checkpoint domination grid deciding where each infill
-criterion is significantly better, median/quartile convergence curves, and a
-rule-based criterion recommendation.
+p-values, a domination grid over the checkpoints past the initial design,
+deciding where each infill criterion is significantly better, median/quartile
+convergence curves, and a rule-based criterion recommendation.
 """
 
 from __future__ import annotations
@@ -157,11 +157,12 @@ def _group_runs(
     return groups
 
 
-def _shared_budget(runs: Sequence[RunLog]) -> int:
-    budgets = {len(log.records) for log in runs}
-    if len(budgets) != 1:
-        raise InsufficientRuns(f"runs in one group must share a budget, got {sorted(budgets)}")
-    return budgets.pop()
+def _shared(values: Iterable[int], what: str) -> int:
+    """The one value the runs of a group share; InsufficientRuns if they differ."""
+    distinct = set(values)
+    if len(distinct) != 1:
+        raise InsufficientRuns(f"runs in one group must share {what}, got {sorted(distinct)}")
+    return distinct.pop()
 
 
 def _values_at(runs: Sequence[RunLog], checkpoint: int, field: str = "best_gap") -> np.ndarray:
@@ -184,8 +185,11 @@ def domination_matrix(logs: Iterable[RunLog], alpha: float = DEFAULT_ALPHA) -> l
 
     Runs are pooled per (function, dimension, criterion) across instances;
     random-search baselines are ignored. Needs at least two EI and two PM
-    runs per group. ``alpha`` must lie in [0, 1): at 0 no comparison
-    is significant, and at 1 or above every one would be.
+    runs per group, sharing a budget and an initial design size. Only the
+    checkpoints past the design size are tested: up to it every run has
+    evaluated only its own Latin hypercube, and a cell there would compare
+    design luck, not criteria. ``alpha`` must lie in [0, 1): at 0 no
+    comparison is significant, and at 1 or above every one would be.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"significance level alpha must lie in [0, 1), got {alpha}")
@@ -198,8 +202,12 @@ def domination_matrix(logs: Iterable[RunLog], alpha: float = DEFAULT_ALPHA) -> l
                 f"function {function_id} d={dimension}: need >= 2 runs per criterion, "
                 f"got {len(ei_runs)} ei / {len(pm_runs)} pm"
             )
-        budget = _shared_budget(ei_runs + pm_runs)
+        runs = ei_runs + pm_runs
+        budget = _shared((len(log.records) for log in runs), "a budget")
+        design_size = _shared((log.config.initial_design_size for log in runs), "an initial design size")
         for checkpoint in checkpoint_grid(budget):
+            if checkpoint <= design_size:
+                continue
             ei_gaps = _values_at(ei_runs, checkpoint)
             pm_gaps = _values_at(pm_runs, checkpoint)
             p = wilcoxon_rank_sum(ei_gaps, pm_gaps).p_value
@@ -243,7 +251,7 @@ def quartile_curves(logs: Iterable[RunLog], field: str = "best_gap") -> dict[Cur
                 raise InsufficientRuns(
                     f"function {function_id} d={dimension} {criterion.value}: need >= 2 runs"
                 )
-            checkpoints = checkpoint_grid(_shared_budget(runs))
+            checkpoints = checkpoint_grid(_shared((len(log.records) for log in runs), "a budget"))
             stacked = np.array(
                 [np.percentile(_values_at(runs, c, field), [25.0, 50.0, 75.0]) for c in checkpoints]
             )

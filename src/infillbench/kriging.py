@@ -51,45 +51,69 @@ and one thread when it has fewer than THREADED_FIT_MIN_POINTS distinct
 points or runs in a campaign pool worker, where the pool already spreads
 runs over the CPUs. The threads live only for that fit. A query calls
 ``dtrtrs`` the same way, and runs on the calling thread.
+
+The handles are bound on first use, not at import: importing scipy.linalg
+is most of the package's start-up, and listing the suite or giving advice
+needs no LAPACK. Each fit workspace, query and ``solve_triangular`` call
+binds them when it is built, on the calling thread. A fit builds its
+workspaces before it enters ``flush_subnormals`` or starts a thread, so
+scipy is never imported under FTZ/DAZ or from a worker thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-
-import scipy.linalg.cython_lapack
 
 from . import de
 from .design import BoxBounds
 from .numerics import flush_subnormals
 
 
-def _lapack_routine(name: str, *argtypes):
-    """A ctypes handle on scipy's LAPACK routine ``name``; a call releases the GIL."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+# LAPACK takes every argument by reference. Flags go as bytes; sizes, info and
+# Fortran-ordered matrices go as plain addresses, the cheapest argument for
+# ctypes to convert.
+_FLAG, _ADDRESS = ctypes.c_char_p, ctypes.c_void_p
+
+
+class _Lapack(NamedTuple):
+    """ctypes handles on scipy's LAPACK routines; a call releases the GIL."""
+
+    potrf: Callable  # dpotrf(uplo, n, a, lda, info)
+    trtrs: Callable  # dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
+
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """The LAPACK handles, built on the first call, which imports scipy.linalg.
+
+    Call it before any worker thread starts and outside flush_subnormals: an
+    import under FTZ/DAZ could compute its module constants flushed.
+    """
+    import scipy.linalg.cython_lapack
+
     api = ctypes.pythonapi
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )
-    return ctypes.CFUNCTYPE(None, *argtypes)(capsule_pointer(capsule, capsule_name(capsule)))
 
+    def routine(name: str, *argtypes):
+        capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+        return ctypes.CFUNCTYPE(None, *argtypes)(capsule_pointer(capsule, capsule_name(capsule)))
 
-# LAPACK takes every argument by reference. Flags go as bytes; sizes, info and
-# Fortran-ordered matrices go as plain addresses, the cheapest argument for
-# ctypes to convert.
-_FLAG, _ADDRESS = ctypes.c_char_p, ctypes.c_void_p
-# dpotrf(uplo, n, a, lda, info)
-_potrf = _lapack_routine("dpotrf", _FLAG, *[_ADDRESS] * 4)
-# dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
-_trtrs = _lapack_routine("dtrtrs", _FLAG, _FLAG, _FLAG, *[_ADDRESS] * 7)
+    return _Lapack(
+        potrf=routine("dpotrf", _FLAG, *[_ADDRESS] * 4),
+        trtrs=routine("dtrtrs", _FLAG, _FLAG, _FLAG, *[_ADDRESS] * 7),
+    )
+
 
 THETA_LOG10_BOUNDS = (-3.0, 2.0)
 POWER_BOUNDS = (0.01, 2.0)
@@ -289,6 +313,7 @@ class _FitWorkspace:
         self.flat = self.matrices.reshape(-1)
         self.diagonals = self.matrices.reshape(capacity, n * n)[:, :: n + 1]
         self.solved = np.empty((capacity, 2, n))
+        self.lapack = _lapack()
         self.info = ctypes.c_int()
         # LAPACK arguments, from addresses that stay valid while this
         # workspace holds the objects behind them; member k's matrix and
@@ -345,6 +370,7 @@ def _likelihoods(
     calls. The escalation stays because LAPACK may still report one.
     """
     geometry = ws.geometry
+    potrf, trtrs = ws.lapack
     n, m, total = geometry.n, len(geometry.lower_flat), len(nuggets)
     mu_hat, squares, half_log_det = np.empty(total), np.empty(total), np.empty(total)
     diagonal_values = (1.0 + nuggets)[:, None]
@@ -363,7 +389,7 @@ def _likelihoods(
         ws.solved[:count] = geometry.rhs
         for k in range(count):
             matrix = ws.matrix_address + k * ws.matrix_stride
-            _potrf(b"L", ws.order, matrix, ws.order, ws.info_address)
+            potrf(b"L", ws.order, matrix, ws.order, ws.info_address)
             while ws.info.value:
                 if ws.info.value < 0:
                     raise RuntimeError(f"invalid factorization argument {-ws.info.value}")
@@ -377,10 +403,10 @@ def _likelihoods(
                 member = slice(k * m, (k + 1) * m)
                 ws.flat[ws.scatter[member]] = corr[member]
                 diagonals[k] = 1.0 + nuggets[start + k]
-                _potrf(b"L", ws.order, matrix, ws.order, ws.info_address)
+                potrf(b"L", ws.order, matrix, ws.order, ws.info_address)
             else:
-                _trtrs(b"L", b"N", b"N", ws.order, ws.columns, matrix, ws.order,
-                       ws.solved_address + k * ws.solved_stride, ws.order, ws.info_address)
+                trtrs(b"L", b"N", b"N", ws.order, ws.columns, matrix, ws.order,
+                      ws.solved_address + k * ws.solved_stride, ws.order, ws.info_address)
 
         # The row dots and the log of the strided diagonal view, summed
         # pairwise per row, round as one member alone would.
@@ -495,8 +521,8 @@ def solve_triangular(chol: np.ndarray, b: np.ndarray, transposed: bool = False) 
     sizes = (ctypes.c_int * 4)(n, x.shape[1] if x.ndim == 2 else 1, max(n, 1), 0)
     order, step = ctypes.addressof(sizes), ctypes.sizeof(ctypes.c_int)
     columns, leading, info = order + step, order + 2 * step, order + 3 * step
-    _trtrs(b"U", b"N" if transposed else b"T", b"N", order, columns,
-           upper.ctypes.data, leading, x.ctypes.data, leading, info)
+    _lapack().trtrs(b"U", b"N" if transposed else b"T", b"N", order, columns,
+                    upper.ctypes.data, leading, x.ctypes.data, leading, info)
     return x
 
 
@@ -548,6 +574,7 @@ class Query:
         # factor chol.T, and solves in place in the C-ordered (m, n)
         # correlations: in Fortran order, the (n, m) right-hand sides.
         self.upper = np.ascontiguousarray(model.chol, dtype=float)
+        self.trtrs = _lapack().trtrs
         self.sizes = (ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int())  # n, m, info
         self.addresses = (
             *(ctypes.addressof(c) for c in self.sizes),
@@ -577,7 +604,7 @@ class Query:
         order, columns, info, upper, solved = self.addresses
         self.sizes[1].value = len(points)
         # chol^-1 k for every point, in place.
-        _trtrs(b"U", b"T", b"N", order, columns, upper, order, solved, order, info)
+        self.trtrs(b"U", b"T", b"N", order, columns, upper, order, solved, order, info)
         squares = np.multiply(corr, corr, out=corr)
         variances = model.sigma2_hat * (1.0 + model.params.nugget - squares.sum(axis=1))
         return means, np.maximum(variances, 0.0)

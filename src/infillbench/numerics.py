@@ -1,4 +1,8 @@
-"""Gaussian distribution helpers and floating-point mode control for the surrogate stack."""
+"""Gaussian distribution helpers and floating-point mode control for the surrogate stack.
+
+``standard_normal_cdf`` takes erfc from scipy.special, which it imports on
+its first call, so importing this module loads no scipy.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ import math
 import platform
 
 import numpy as np
-import scipy.special
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -19,6 +22,8 @@ def standard_normal_cdf(z):
 
     Computed through erfc so the far tails keep full relative accuracy.
     """
+    import scipy.special
+
     return 0.5 * scipy.special.erfc(-z / _SQRT_2)
 
 

@@ -161,7 +161,6 @@ class TestFunction:
     x_opt: np.ndarray
     f_opt: float
     rotation: Optional[np.ndarray]
-    tags: tuple[str, ...]
 
 
 def _random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -214,7 +213,6 @@ def make_instance(function_id: int, dimension: int, instance_id: int) -> TestFun
         x_opt=x_opt,
         f_opt=f_opt,
         rotation=rotation,
-        tags=entry.tags,
     )
 
 

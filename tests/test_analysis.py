@@ -40,8 +40,8 @@ def permutation_p_value(a, b):
     return extreme / total
 
 
-def synthetic_log(function_id, dimension, criterion, gaps, seed, nn=1.0):
-    """RunLog whose best-gap curve is a constant per-run value."""
+def synthetic_log(function_id, dimension, criterion, gaps, seed, nn=1.0, design_size=10):
+    """RunLog of budget 30 whose best-gap curve is a constant per-run value."""
     records = tuple(
         IterationRecord(
             iteration=k,
@@ -56,7 +56,7 @@ def synthetic_log(function_id, dimension, criterion, gaps, seed, nn=1.0):
         for k in range(1, 31)
     )
     config = RunConfig(function_id, dimension, 1, criterion, total_budget=30,
-                       initial_design_size=10, seed=seed)
+                       initial_design_size=design_size, seed=seed)
     return RunLog(config=config, f_opt=0.0, records=records)
 
 
@@ -157,8 +157,31 @@ class TestDominationMatrix:
         logs = [synthetic_log(1, 2, InfillCriterion.EXPECTED_IMPROVEMENT, 5.0, s) for s in range(4)]
         logs += [synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 5.0, s) for s in range(4)]
         cells = domination_matrix(logs)
-        assert len(cells) == len(checkpoint_grid(30))
+        # checkpoint_grid(30) is (10, 13, 18, 24, 30); 10 is the design size
+        assert [c.checkpoint for c in cells] == [13, 18, 24, 30]
         assert all(c.winner == "none" for c in cells)
+
+    def test_tests_only_checkpoints_past_each_groups_design(self):
+        logs = []
+        for function_id, design_size in ((1, 10), (3, 20)):
+            for criterion in (InfillCriterion.EXPECTED_IMPROVEMENT, InfillCriterion.PREDICTED_VALUE):
+                logs += [
+                    synthetic_log(function_id, 2, criterion, 1.0, s, design_size=design_size)
+                    for s in range(3)
+                ]
+        checkpoints = {}
+        for cell in domination_matrix(logs):
+            checkpoints.setdefault(cell.function_id, []).append(cell.checkpoint)
+        assert checkpoints == {1: [13, 18, 24, 30], 3: [24, 30]}
+
+    def test_group_with_mixed_design_sizes_rejected(self):
+        logs = [synthetic_log(1, 2, InfillCriterion.EXPECTED_IMPROVEMENT, 1.0, s) for s in range(3)]
+        logs += [
+            synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 2.0, s, design_size=12)
+            for s in range(3)
+        ]
+        with pytest.raises(InsufficientRuns, match="initial design size"):
+            domination_matrix(logs)
 
     def test_uniformly_better_ei_wins_everywhere(self):
         rng = np.random.default_rng(1)
