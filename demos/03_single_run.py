@@ -8,7 +8,7 @@ to its nearest predecessor (small steps = exploitation, large = exploration).
 
 import numpy as np
 
-from infillbench import InfillCriterion, RunConfig, run
+from infillbench import InfillCriterion, RunConfig, make_instance, run
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
         seed=11,
     )
     log = run(config)
-    print(f"instance optimum f_opt = {log.f_opt:+.2f}\n")
+    print(f"instance optimum f_opt = {make_instance(3, 2, 1).f_opt:+.2f}\n")
     print("iter   y-f_opt    best gap   step distance   fit -log likelihood")
     for r in log.records:
         nn = "      -" if r.nn_distance is None else f"{r.nn_distance:7.3f}"

@@ -139,11 +139,9 @@ def _reads_back(path: Path) -> bool:
     return True
 
 
-def _execute_run(run_config: RunConfig, out_dir: Path) -> bool:
-    """Run one configuration and write its log; return its fallback flag."""
-    log = run(run_config)
-    write_run_log(log, out_dir)
-    return log.degenerate_fallback
+def _execute_run(run_config: RunConfig, out_dir: Path) -> None:
+    """Run one configuration and write its log."""
+    write_run_log(run(run_config), out_dir)
 
 
 def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
@@ -168,7 +166,7 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     by_file = {run_log_filename(run_config): run_config for run_config in plan}
     # The runs this manifest vouches for: logs made with these settings that
     # read back whole. A log being re-run loses its old entry before it starts.
-    recorded: dict[str, tuple[RunConfig, bool]] = {}
+    recorded: dict[str, RunConfig] = {}
 
     def write() -> None:
         write_manifest(out_dir, settings, [recorded[name] for name in by_file if name in recorded])
@@ -176,18 +174,17 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     pending: list[RunConfig] = []
     result = CampaignResult(manifest_path=out_dir / MANIFEST_NAME)
     for filename, run_config in by_file.items():
-        made_alike = filename in previous and previous[filename][0] == run_config
-        if not force and made_alike and _reads_back(out_dir / filename):
+        if not force and previous.get(filename) == run_config and _reads_back(out_dir / filename):
             result.skipped.append(filename)
-            recorded[filename] = previous[filename]
+            recorded[filename] = run_config
         else:
             pending.append(run_config)
     write()
 
-    def finish(run_config: RunConfig, degenerate: bool) -> None:
+    def finish(run_config: RunConfig) -> None:
         filename = run_log_filename(run_config)
         result.executed.append(filename)
-        recorded[filename] = (run_config, degenerate)
+        recorded[filename] = run_config
         write()
 
     if config.workers > 1 and len(pending) > 1:
@@ -195,8 +192,10 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
             futures = {pool.submit(_execute_run, run_config, out_dir): run_config
                        for run_config in pending}
             for future in as_completed(futures):
-                finish(futures[future], future.result())
+                future.result()
+                finish(futures[future])
     else:
         for run_config in pending:
-            finish(run_config, _execute_run(run_config, out_dir))
+            _execute_run(run_config, out_dir)
+            finish(run_config)
     return result

@@ -212,7 +212,6 @@ class KrigingModel:
     mu_hat: float
     sigma2_hat: float
     neg_log_likelihood: float
-    nll_evaluations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +491,7 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
     del geometry, workspaces, objective
 
     (theta,), (power,), (nugget,) = _decode(result.x_best[None], d)
-    model = model_at(data, KrigingHyperparameters(theta, power, float(nugget)))
-    return replace(model, nll_evaluations=result.evaluations_used)
+    return model_at(data, KrigingHyperparameters(theta, power, float(nugget)))
 
 
 def _fit_threads(n: int) -> int:
@@ -508,7 +506,10 @@ def _fit_threads(n: int) -> int:
 
 
 def solve_triangular(chol: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Solve chol @ x = b, or chol.T @ x = b when ``transposed``, for a model's lower factor."""
+    """Solve chol @ x = b, or chol.T @ x = b when ``transposed``, for a model's lower factor.
+
+    numpy.linalg.LinAlgError when the factor has a zero on its diagonal.
+    """
     # LAPACK reads the C-ordered chol in place as the Fortran-ordered upper
     # factor chol.T, and solves in place in a Fortran-ordered copy of b.
     upper = np.ascontiguousarray(chol, dtype=float)
@@ -523,6 +524,10 @@ def solve_triangular(chol: np.ndarray, b: np.ndarray, transposed: bool = False) 
     columns, leading, info = order + step, order + 2 * step, order + 3 * step
     _lapack().trtrs(b"U", b"N" if transposed else b"T", b"N", order, columns,
                     upper.ctypes.data, leading, x.ctypes.data, leading, info)
+    if sizes[3] < 0:
+        raise RuntimeError(f"invalid triangular solve argument {-sizes[3]}")
+    if sizes[3] > 0:
+        raise np.linalg.LinAlgError(f"singular factor: diagonal entry {sizes[3]} is zero")
     return x
 
 

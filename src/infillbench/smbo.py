@@ -94,9 +94,7 @@ class IterationRecord:
 @dataclass(frozen=True, eq=False)
 class RunLog:
     config: RunConfig
-    f_opt: float
     records: tuple[IterationRecord, ...]
-    degenerate_fallback: bool = False
 
 
 def nearest_neighbor_distance(known: np.ndarray, x: np.ndarray) -> float:
@@ -151,7 +149,7 @@ def run(config: RunConfig) -> RunLog:
         record_evaluation(k, design[k - 1], started, None)
 
     # A constant-valued design cannot identify a surrogate; such a run keeps
-    # going on random proposals and says so in its log.
+    # going on random proposals, and its log shows it: no model_nll after the design.
     degenerate = config.infill.model_based and float(np.ptp(values[:n_init])) == 0.0
     criterion = InfillCriterion.RANDOM_SEARCH if degenerate else config.infill
 
@@ -170,12 +168,7 @@ def run(config: RunConfig) -> RunLog:
         )
         record_evaluation(k, x_next, started, None if model is None else model.neg_log_likelihood)
 
-    return RunLog(
-        config=config,
-        f_opt=func.f_opt,
-        records=tuple(records),
-        degenerate_fallback=degenerate,
-    )
+    return RunLog(config=config, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +227,28 @@ def write_run_log(log: RunLog, directory) -> Path:
     return path
 
 
-def manifest_entry(config: RunConfig, degenerate_fallback: bool) -> dict:
-    """A run's manifest entry: every RunConfig field, its log file and fallback flag."""
+def manifest_entry(config: RunConfig) -> dict:
+    """A run's manifest entry: every RunConfig field and its log file."""
     settings = asdict(config)
     settings["criterion"] = settings.pop("infill").value
-    return {**settings, "file": run_log_filename(config), "degenerate_fallback": degenerate_fallback}
+    return {**settings, "file": run_log_filename(config)}
 
 
-def _entry_settings(entry: dict) -> tuple[RunConfig, bool]:
-    """The RunConfig and fallback flag a manifest entry records; manifest_entry inverted.
+def _entry_settings(entry: dict) -> RunConfig:
+    """The RunConfig a manifest entry records; manifest_entry inverted.
 
     An entry that does not hold exactly what manifest_entry writes, such as one
     that leaves a setting out, raises ValueError rather than read as a default.
     """
-    settings = {k: v for k, v in entry.items() if k not in ("file", "degenerate_fallback")}
+    settings = {k: v for k, v in entry.items() if k != "file"}
     settings["infill"] = settings.pop("criterion")
-    config, degenerate = RunConfig(**settings), entry["degenerate_fallback"]
-    if manifest_entry(config, degenerate) != entry:
+    config = RunConfig(**settings)
+    if manifest_entry(config) != entry:
         raise ValueError(f"entry {entry['file']!r} does not record exactly its run settings")
-    return config, degenerate
+    return config
 
 
-def _listed_settings(directory, only: Optional[str] = None) -> dict[str, tuple[RunConfig, bool]]:
+def _listed_settings(directory, only: Optional[str] = None) -> dict[str, RunConfig]:
     """The settings of every run a directory's manifest lists, or of the one for file ``only``."""
     path = Path(directory) / MANIFEST_NAME
     try:
@@ -268,8 +261,8 @@ def _listed_settings(directory, only: Optional[str] = None) -> dict[str, tuple[R
         raise MalformedRunLog(f"manifest {path} cannot be parsed: {exc!r}") from exc
 
 
-def read_manifest(directory) -> dict[str, tuple[RunConfig, bool]]:
-    """The runs a directory's manifest lists: log file name -> (RunConfig, fallback flag).
+def read_manifest(directory) -> dict[str, RunConfig]:
+    """The runs a directory's manifest lists: log file name -> RunConfig.
 
     MalformedRunLog when the directory has no manifest, it cannot be parsed,
     or any entry does not record exactly its run settings.
@@ -277,11 +270,10 @@ def read_manifest(directory) -> dict[str, tuple[RunConfig, bool]]:
     return _listed_settings(directory)
 
 
-def write_manifest(directory, campaign_settings: dict, runs) -> None:
-    """Write a directory's manifest: the campaign's settings and one entry per (RunConfig, fallback flag)."""
+def write_manifest(directory, campaign_settings: dict, configs) -> None:
+    """Write a directory's manifest: the campaign's settings and one entry per RunConfig."""
     path = Path(directory) / MANIFEST_NAME
-    entries = [manifest_entry(config, degenerate) for config, degenerate in runs]
-    manifest = {"campaign": campaign_settings, "runs": entries}
+    manifest = {"campaign": campaign_settings, "runs": [manifest_entry(c) for c in configs]}
     write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -297,18 +289,18 @@ def _parse_value(text: str, name: str) -> Optional[float]:
 def read_run_log(path) -> RunLog:
     """Parse a run CSV back into a RunLog, finding each column by its header name.
 
-    The RunConfig and fallback flag come from the log's entry in the manifest
-    beside it, and only that entry is checked. MalformedRunLog when the
-    directory has no manifest, the manifest does not list the log, a listed
-    log is missing, the record count differs from the entry's
-    ``total_budget``, the iterations are not 1..n, a required field is blank,
-    or a number is cut short or not finite.
+    The RunConfig comes from the log's entry in the manifest beside it, and
+    only that entry is checked. MalformedRunLog when the directory has no
+    manifest, the manifest does not list the log, a listed log is missing, the
+    record count differs from the entry's ``total_budget``, the iterations are
+    not 1..n, a required field is blank, or a number is cut short or not
+    finite.
     """
     path = Path(path)
     listed = _listed_settings(path.parent, only=path.name)
     if path.name not in listed:
         raise MalformedRunLog(f"run log {path} is not listed in its directory's {MANIFEST_NAME}")
-    config, degenerate = listed[path.name]
+    config = listed[path.name]
     try:
         lines = path.read_text().strip().splitlines()
     except FileNotFoundError as exc:
@@ -338,8 +330,7 @@ def read_run_log(path) -> RunLog:
             )
         except ValueError as exc:  # a blank required field, or a number cut short or not finite
             raise MalformedRunLog(f"run log {path}: {exc}") from exc
-    f_opt = records[0].y - records[0].gap
-    return RunLog(config, f_opt, tuple(records), degenerate_fallback=degenerate)
+    return RunLog(config, tuple(records))
 
 
 def read_run_logs(directory) -> list[RunLog]:

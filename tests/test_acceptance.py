@@ -230,7 +230,7 @@ def test_criterion_4_lhs_stratification_sweep():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_5_budget_accounting(monkeypatch):
+def test_criterion_5_budget_accounting(monkeypatch, search_rows):
     objective_calls = {"n": 0}
     real_evaluate = smbo_module.evaluate
 
@@ -242,8 +242,10 @@ def test_criterion_5_budget_accounting(monkeypatch):
     real_fit = smbo_module.fit
 
     def tracking_fit(data, seed, evals_per_param):
+        # Proposals search with de.minimize too; keep the searches this fit ran.
+        searches_before = len(search_rows)
         model = real_fit(data, seed, evals_per_param=evals_per_param)
-        fit_budgets.append(model.nll_evaluations)
+        fit_budgets.extend(search_rows[searches_before:])
         return model
 
     proposal_rows = []

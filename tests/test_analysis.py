@@ -57,7 +57,7 @@ def synthetic_log(function_id, dimension, criterion, gaps, seed, nn=1.0, design_
     )
     config = RunConfig(function_id, dimension, 1, criterion, total_budget=30,
                        initial_design_size=design_size, seed=seed)
-    return RunLog(config=config, f_opt=0.0, records=records)
+    return RunLog(config=config, records=records)
 
 
 class TestWilcoxon:

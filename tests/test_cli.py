@@ -77,7 +77,7 @@ class TestRunCommand:
         # every RunConfig field, the criterion under its manifest name
         assert all(set(entry) == {
             "file", "function_id", "dimension", "instance_id", "criterion", "total_budget",
-            "initial_design_size", "seed", "mle_evals_per_param", "degenerate_fallback",
+            "initial_design_size", "seed", "mle_evals_per_param",
         } for entry in manifest["runs"])
 
     def test_rerun_is_idempotent(self, tmp_path, capsys):

@@ -33,7 +33,7 @@ CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
 def write_listed_log(log, directory):
     """Write a run's log and a manifest beside it that lists just that run."""
     path = write_run_log(log, directory)
-    write_manifest(directory, {}, [(log.config, log.degenerate_fallback)])
+    write_manifest(directory, {}, [log.config])
     return path
 
 
@@ -154,7 +154,6 @@ class TestRun:
         monkeypatch.setattr(smbo_module, "evaluate", lambda func, x: 7.5)
         cfg = RunConfig(1, 2, 1, InfillCriterion.PREDICTED_VALUE, total_budget=13, seed=2)
         log = run(cfg)
-        assert log.degenerate_fallback
         assert len(log.records) == 13
         assert all(r.model_nll is None for r in log.records)
 
@@ -192,8 +191,6 @@ class TestSerialization:
         log = run(cfg)
         restored = read_run_log(write_listed_log(log, tmp_path))
         assert restored.config == cfg
-        assert restored.degenerate_fallback == log.degenerate_fallback
-        assert restored.f_opt == log.f_opt
         for original, parsed in zip(log.records, restored.records):
             assert np.array_equal(original.x, parsed.x)
             assert original.y == parsed.y
@@ -306,7 +303,7 @@ class TestReadRunLog:
 
     def test_log_its_manifest_does_not_list_raises(self, log_path, tmp_path):
         other = RunConfig(3, 2, 1, InfillCriterion.RANDOM_SEARCH, total_budget=12, seed=8)
-        write_manifest(tmp_path, {}, [(other, False)])
+        write_manifest(tmp_path, {}, [other])
         with pytest.raises(MalformedRunLog, match="not listed"):
             read_run_log(log_path)
 
@@ -316,7 +313,7 @@ class TestReadRunLog:
         entry = json.loads((directory / MANIFEST_NAME).read_text())["runs"][0]
         log = read_run_log(directory / entry["file"])
         assert log.config.mle_evals_per_param == 100
-        assert manifest_entry(log.config, log.degenerate_fallback) == entry
+        assert manifest_entry(log.config) == entry
 
 
 class TestReadRunLogs:
@@ -346,20 +343,28 @@ class TestReadRunLogs:
         by_file = {entry["file"]: entry for entry in entries}
         for log in logs:
             entry = by_file[run_log_filename(log.config)]
-            assert manifest_entry(log.config, log.degenerate_fallback) == entry
+            assert manifest_entry(log.config) == entry
 
-    def test_fallback_flag_and_settings_come_from_the_manifest(self, campaign_dir):
-        def flag_first_and_drop_last(runs):
-            runs[0]["degenerate_fallback"] = True
-            del runs[-1]
-
-        self.edit_manifest(campaign_dir, flag_first_and_drop_last)
-        first, second = read_run_logs(campaign_dir)
-        assert (first.degenerate_fallback, second.degenerate_fallback) == (True, False)
+    def test_fallback_runs_read_back_blank_likelihoods_and_manifest_settings(
+        self, tmp_path, monkeypatch
+    ):
+        # a constant objective identifies no model: each PM run falls back to
+        # random proposals, and its log shows it only by blank model_nll cells
+        monkeypatch.setattr(smbo_module, "evaluate", lambda func, x: 7.5)
+        run_campaign(CampaignConfig(
+            functions=(3,), dimensions=(2,), criteria=("pm",), instances=(1, 2, 3),
+            total_budget=12, initial_design_size=4, mle_evals_per_param=7,
+            output_dir=str(tmp_path),
+        ))
+        self.edit_manifest(tmp_path, lambda runs: runs.pop())
+        first, second = read_run_logs(tmp_path)
         for listed in (first, second):
+            assert listed.config.infill is InfillCriterion.PREDICTED_VALUE
             assert (listed.config.initial_design_size, listed.config.mle_evals_per_param) == (4, 7)
+            assert len(listed.records) == 12
+            assert all(r.model_nll is None for r in listed.records)
         # the log the manifest no longer lists is not read, and cannot be read on its own
-        unlisted = sorted(campaign_dir.glob("*.csv"))[-1]
+        unlisted = sorted(tmp_path.glob("*.csv"))[-1]
         assert run_log_filename(first.config) < run_log_filename(second.config) < unlisted.name
         with pytest.raises(MalformedRunLog, match="not listed"):
             read_run_log(unlisted)
@@ -378,7 +383,10 @@ class TestReadRunLogs:
         lambda entry: entry.pop("initial_design_size"),
         lambda entry: entry.pop("seed"),
         lambda entry: entry.update(note="extra"),
-    ], ids=["no_mle_evals_per_param", "no_initial_design_size", "no_seed", "unknown_key"])
+        # the fallback flag every entry held before it was deleted
+        lambda entry: entry.update(degenerate_fallback=False),
+    ], ids=["no_mle_evals_per_param", "no_initial_design_size", "no_seed", "unknown_key",
+            "retired_degenerate_fallback"])
     def test_entry_not_recording_exactly_its_settings_raises(self, campaign_dir, edit):
         self.edit_manifest(campaign_dir, lambda runs: edit(runs[0]))
         with pytest.raises(MalformedRunLog):
