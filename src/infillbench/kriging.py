@@ -52,12 +52,15 @@ points or runs in a campaign pool worker, where the pool already spreads
 runs over the CPUs. The threads live only for that fit. A query calls
 ``dtrtrs`` the same way, and runs on the calling thread.
 
-The handles are bound on first use, not at import: importing scipy.linalg
-is most of the package's start-up, and listing the suite or giving advice
-needs no LAPACK. Each fit workspace, query and ``solve_triangular`` call
-binds them when it is built, on the calling thread. A fit builds its
-workspaces before it enters ``flush_subnormals`` or starts a thread, so
-scipy is never imported under FTZ/DAZ or from a worker thread.
+The handles are bound on first use, not at import, and from the export
+table's compiled module alone (``numerics._scipy_extension``): the
+``scipy.linalg`` package is never imported (with ``scipy.special``, which
+``numerics`` skips the same way, it cost each process about 20 MB of peak
+RSS and a quarter of a second), and listing the suite or giving advice
+loads no scipy at all. Each fit workspace, query and ``solve_triangular``
+call binds the handles when it is built, on the calling thread. A fit builds
+its workspaces before it enters ``flush_subnormals`` or starts a thread, so
+scipy is never loaded under FTZ/DAZ or from a worker thread.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ import numpy as np
 
 from . import de
 from .design import BoxBounds
-from .numerics import flush_subnormals
+from .numerics import _scipy_extension, flush_subnormals
 
 
 # LAPACK takes every argument by reference. Flags go as bytes; sizes, info and
@@ -92,13 +95,14 @@ class _Lapack(NamedTuple):
 
 @functools.cache
 def _lapack() -> _Lapack:
-    """The LAPACK handles, built on the first call, which imports scipy.linalg.
+    """The LAPACK handles, built on the first call, which loads scipy's export table.
 
-    Call it before any worker thread starts and outside flush_subnormals: an
-    import under FTZ/DAZ could compute its module constants flushed.
+    Call it before any worker thread starts and outside flush_subnormals: a
+    module loaded under FTZ/DAZ could compute its constants flushed.
     """
-    import scipy.linalg.cython_lapack
-
+    exports = _scipy_extension("linalg", "cython_lapack")
+    if exports is None:
+        raise ImportError("scipy has no scipy.linalg.cython_lapack module")
     api = ctypes.pythonapi
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -106,7 +110,7 @@ def _lapack() -> _Lapack:
     )
 
     def routine(name: str, *argtypes):
-        capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+        capsule = exports.__pyx_capi__[name]
         return ctypes.CFUNCTYPE(None, *argtypes)(capsule_pointer(capsule, capsule_name(capsule)))
 
     return _Lapack(

@@ -1,15 +1,31 @@
-"""Gaussian distribution helpers and floating-point mode control for the surrogate stack.
+"""Gaussian distribution helpers, floating-point mode control, and the loader
+of the two scipy extension modules the surrogate stack calls.
 
-``standard_normal_cdf`` takes erfc from scipy.special, which it imports on
-its first call, so importing this module loads no scipy.
+Importing this module loads no scipy. ``_scipy_extension`` loads one
+compiled module of scipy from its file, without running the ``__init__`` of
+the subpackage that holds it: ``scipy.linalg`` and ``scipy.special`` load
+code the surrogate never calls, about 20 MB of peak RSS and a quarter of a
+second per process together. The module objects are the ones scipy's own
+import gives, so every result keeps its bits.
+
+``standard_normal_cdf`` takes scipy's erfc ufunc on its first call, from
+``scipy.special._special_ufuncs`` alone, or from ``scipy.special`` on an
+older scipy whose ``_special_ufuncs`` is missing or lacks erfc.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import platform
+import sys
+from types import ModuleType
+from typing import Optional
 
 import numpy as np
 
@@ -17,14 +33,49 @@ _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _scipy_extension(subpackage: str, name: str) -> Optional[ModuleType]:
+    """The compiled module ``scipy.<subpackage>.<name>``, or None if scipy has no such file.
+
+    A module scipy has already imported is returned as it is. Otherwise the
+    module is loaded from its file under its full name, and the entry its
+    init puts in ``sys.modules`` is taken out again, so that a later import
+    through the package runs the package ``__init__`` and binds the module
+    as its attribute. Call it on one thread at a time.
+    """
+    full_name = f"scipy.{subpackage}.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
+    scipy_spec = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    if scipy_spec is None:
+        return None
+    directories = [os.path.join(location, subpackage) for location in scipy_spec.submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec(name, directories)
+    if found is None:
+        return None
+    spec = importlib.util.spec_from_file_location(full_name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(full_name, None)
+    return module
+
+
+@functools.cache
+def _erfc():
+    """scipy's erfc ufunc, loaded on the first call."""
+    ufuncs = _scipy_extension("special", "_special_ufuncs")
+    if ufuncs is not None and hasattr(ufuncs, "erfc"):
+        return ufuncs.erfc
+    import scipy.special  # a scipy older than _special_ufuncs' erfc
+
+    return scipy.special.erfc
+
+
 def standard_normal_cdf(z):
     """Phi(z), the standard normal CDF. Accepts scalars or arrays.
 
     Computed through erfc so the far tails keep full relative accuracy.
     """
-    import scipy.special
-
-    return 0.5 * scipy.special.erfc(-z / _SQRT_2)
+    return 0.5 * _erfc()(-z / _SQRT_2)
 
 
 def standard_normal_pdf(z):

@@ -2,7 +2,8 @@
 
 Criteria 1-5 are fast deterministic property checks. Criteria 6-9 replay the
 benchmark study at desk scale (budget 150, 10-15 runs per criterion) and take
-on the order of an hour single-core. Their campaign outputs land in
+on the order of an hour single-core; criterion 11 checks the criterion advice
+against the same campaigns. Their outputs land in
 ``.acceptance_cache/`` at the repository root; re-runs reuse completed logs,
 so a second invocation of this module is cheap. Delete the cache directory to
 force full recomputation.
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import infillbench.smbo as smbo_module
-from infillbench.analysis import wilcoxon_rank_sum
+from infillbench.analysis import domination_matrix, recommend_criterion, wilcoxon_rank_sum
 from infillbench.campaign import CampaignConfig, run_campaign
 from infillbench.design import BoxBounds, latin_hypercube
 from infillbench.infill import InfillCriterion, improvement_from_moments
@@ -31,6 +32,7 @@ from infillbench.kriging import (
     predict_batch,
 )
 from infillbench.smbo import RunConfig, read_run_logs, run
+from infillbench.testbed import list_suite
 
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
 BASE_SEED = 1
@@ -403,3 +405,51 @@ def test_criterion_9_random_search_baseline(sphere_5d_logs):
     report(9, passed, detail)
     assert ei * 10 <= rs
     assert pm * 10 <= rs
+
+
+# ---------------------------------------------------------------------------
+# Criterion 11: the criterion advice against the cached campaigns' verdicts
+# ---------------------------------------------------------------------------
+
+# Share of significant domination cells whose winner the advice must name,
+# fixed before the check was first run.
+ADVICE_AGREEMENT_MIN = 0.8
+
+
+def suite_modality_hint(function_id):
+    """``unimodal`` or ``multimodal`` where the suite tags say so, else ``unknown``."""
+    tags = {entry.function_id: entry.tags for entry in list_suite()}[function_id]
+    for hint in ("unimodal", "multimodal"):
+        if hint in tags:
+            return hint
+    return "unknown"
+
+
+def test_criterion_11_advice_names_the_significant_winners(
+    rastrigin_2d_logs, sphere_5d_logs, high_dim_logs
+):
+    cells = [
+        cell
+        for logs in (rastrigin_2d_logs, sphere_5d_logs, high_dim_logs)
+        for cell in domination_matrix(logs)
+        if cell.winner != "none"
+    ]
+    disagreements = []
+    for cell in cells:
+        advice = recommend_criterion(
+            cell.dimension, cell.checkpoint, suite_modality_hint(cell.function_id)
+        )
+        if advice.criterion.value != cell.winner:
+            disagreements.append(
+                f"f{cell.function_id} d={cell.dimension} at {cell.checkpoint}: "
+                f"{cell.winner} won, advice {advice.criterion.value} ({advice.rationale})"
+            )
+    agreed = len(cells) - len(disagreements)
+    share = agreed / len(cells) if cells else 0.0
+    detail = (
+        f"advice names the winner in {agreed} of {len(cells)} significant cells "
+        f"(at least {ADVICE_AGREEMENT_MIN:.0%} needed); disagreements: "
+        + ("; ".join(disagreements) or "none")
+    )
+    report(11, share >= ADVICE_AGREEMENT_MIN, detail)
+    assert share >= ADVICE_AGREEMENT_MIN
