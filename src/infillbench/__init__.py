@@ -12,7 +12,7 @@ from .analysis import (
     wilcoxon_rank_sum,
 )
 from .campaign import CampaignConfig, derive_run_seed, run_campaign
-from .de import DEResult, minimize
+from .de import minimize
 from .design import BoxBounds, latin_hypercube, uniform_random
 from .infill import InfillCriterion, propose
 from .kriging import (
@@ -40,7 +40,6 @@ __all__ = [
     "BoxBounds",
     "CampaignConfig",
     "Dataset",
-    "DEResult",
     "DominationCell",
     "InfillCriterion",
     "IterationRecord",

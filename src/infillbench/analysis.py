@@ -77,9 +77,11 @@ def wilcoxon_rank_sum(
 
     Returns the U statistic of sample ``a`` (small U means ``a`` tends to be
     smaller) and the p-value. Tie-free samples with at most 16 values pooled
-    get an exact enumeration p-value; everything else uses the normal
-    approximation with tie and continuity corrections. ``alternative`` is
-    ``"two-sided"``, ``"less"`` (a shifted below b) or ``"greater"``.
+    get exact enumeration tails; everything else gets normal-approximation
+    tails with tie and continuity corrections. Either way the test has two
+    tails, P(U <= u) and P(U >= u): ``alternative`` ``"less"`` (a shifted
+    below b) takes the first, ``"greater"`` the second, and ``"two-sided"``
+    twice the smaller, capped at 1.
     """
     if alternative not in ("two-sided", "less", "greater"):
         raise ValueError(f"unknown alternative {alternative!r}")
@@ -96,32 +98,21 @@ def wilcoxon_rank_sum(
     has_ties = bool(np.any(tie_sizes > 1))
     if not has_ties and (m + n) <= EXACT_ENUMERATION_LIMIT:
         p_le, p_ge = _exact_tail_probabilities(m, n, u_stat)
-        if alternative == "less":
-            p = p_le
-        elif alternative == "greater":
-            p = p_ge
-        else:
-            p = min(1.0, 2.0 * min(p_le, p_ge))
-        return WilcoxonResult(u_stat, p)
-
-    total = m + n
-    mean_u = 0.5 * m * n
-    tie_term = float((tie_sizes**3 - tie_sizes).sum()) / (total * (total - 1))
-    variance = m * n / 12.0 * ((total + 1) - tie_term)
-    if variance <= 0.0:
-        return WilcoxonResult(u_stat, 1.0)
-    sd = np.sqrt(variance)
-    if alternative == "less":
-        z = (u_stat - mean_u + 0.5) / sd
-        p = float(standard_normal_cdf(z))
-    elif alternative == "greater":
-        z = (u_stat - mean_u - 0.5) / sd
-        p = float(1.0 - standard_normal_cdf(z))
     else:
-        centered = u_stat - mean_u
-        z = (centered - 0.5 * np.sign(centered)) / sd
-        p = min(1.0, 2.0 * float(standard_normal_cdf(-abs(z))))
-    return WilcoxonResult(u_stat, p)
+        total = m + n
+        mean_u = 0.5 * m * n
+        tie_term = float((tie_sizes**3 - tie_sizes).sum()) / (total * (total - 1))
+        variance = m * n / 12.0 * ((total + 1) - tie_term)
+        if variance <= 0.0:
+            return WilcoxonResult(u_stat, 1.0)
+        sd = np.sqrt(variance)
+        p_le = float(standard_normal_cdf((u_stat - mean_u + 0.5) / sd))
+        p_ge = float(standard_normal_cdf((mean_u - u_stat + 0.5) / sd))
+    if alternative == "less":
+        return WilcoxonResult(u_stat, p_le)
+    if alternative == "greater":
+        return WilcoxonResult(u_stat, p_ge)
+    return WilcoxonResult(u_stat, min(1.0, 2.0 * min(p_le, p_ge)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from the previous population, then replacements happen in member order. The
 objective is batch-shaped: it maps an (m, d) array of points to m values, one
 call per generation. Out-of-box trial components are clamped to the violated
 bound. The run consumes exactly ``budget`` objective evaluations (one per
-row), stopping mid-population or mid-generation if needed.
+row), stopping mid-population or mid-generation if needed, and returns the
+point with the lowest value it evaluated, the first one on a tie.
 
 A generation's bookkeeping is a fixed handful of numpy calls on buffers
 that every generation reuses: one random draw holds the partner sort keys
@@ -22,7 +23,7 @@ same order (tests/test_de.py pins results to the bit).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -31,12 +32,6 @@ from .design import BoxBounds
 NONFINITE_PENALTY = 1.0e10
 DIFFERENTIAL_WEIGHT = 0.8
 CROSSOVER_RATE = 0.9
-
-
-class DEResult(NamedTuple):
-    x_best: np.ndarray
-    f_best: float
-    evaluations_used: int
 
 
 def _sanitize(values: np.ndarray) -> np.ndarray:
@@ -52,7 +47,7 @@ def population_size(dimension: int) -> int:
 
 def minimize(
     objective: Callable[[np.ndarray], np.ndarray], bounds: BoxBounds, budget: int, seed: int
-) -> DEResult:
+) -> np.ndarray:
     """Minimize a black-box objective over a box; returns the best point evaluated.
 
     ``objective`` evaluates an (m, d) array of points in one call and returns
@@ -117,4 +112,4 @@ def minimize(
             f_best = float(trial_fitness[gen_best])
             x_best = trials[gen_best].copy()
 
-    return DEResult(x_best=x_best, f_best=f_best, evaluations_used=evaluations)
+    return x_best

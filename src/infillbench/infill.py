@@ -86,4 +86,4 @@ def propose(
         def objective(points: np.ndarray) -> np.ndarray:
             return -improvement_from_moments(*query.moments(points), y_best)
 
-    return de.minimize(objective, bounds, MODEL_EVALS_PER_DIMENSION * bounds.dimension, seed).x_best
+    return de.minimize(objective, bounds, MODEL_EVALS_PER_DIMENSION * bounds.dimension, seed)

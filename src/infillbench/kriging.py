@@ -27,6 +27,11 @@ where k is the correlation vector between x and the training points.
 search builds one query and reuses it for every generation; ``predict_batch``
 takes an (m, d) array of points (one (d,) point is one row), checks it and
 answers it with a query of its own. The infill criteria score these moments.
+A query and ``predict_batch`` agree bit for bit on the same rows asked in
+one call. A point's mean also depends on the call it is asked in: the means
+are one matrix-vector product, and OpenBLAS's ``dgemv`` rounds the rows past
+the last group of four differently, so the same points asked in blocks of
+another size can differ in the last bits.
 
 The likelihood search runs under ``numerics.flush_subnormals`` (a faster
 Cholesky, the same likelihood bits); models and predictions do not.
@@ -84,6 +89,15 @@ from .numerics import _scipy_extension, flush_subnormals
 # Fortran-ordered matrices go as plain addresses, the cheapest argument for
 # ctypes to convert.
 _FLAG, _ADDRESS = ctypes.c_char_p, ctypes.c_void_p
+
+
+def _int_arguments(*values: int) -> tuple[ctypes.Array, list[int]]:
+    """LAPACK's integer arguments: one block of C ints holding ``values``, and
+    the address of each. The addresses stay valid while the block lives, and
+    LAPACK writes info back into its entry."""
+    block = (ctypes.c_int * len(values))(*values)
+    start, step = ctypes.addressof(block), ctypes.sizeof(ctypes.c_int)
+    return block, [start + k * step for k in range(len(values))]
 
 
 class _Lapack(NamedTuple):
@@ -317,14 +331,10 @@ class _FitWorkspace:
         self.diagonals = self.matrices.reshape(capacity, n * n)[:, :: n + 1]
         self.solved = np.empty((capacity, 2, n))
         self.lapack = _lapack()
-        self.info = ctypes.c_int()
         # LAPACK arguments, from addresses that stay valid while this
         # workspace holds the objects behind them; member k's matrix and
-        # solves sit k strides past the first member's.
-        self.sizes = (ctypes.c_int(n), ctypes.c_int(2))
-        self.order, self.columns, self.info_address = (
-            ctypes.addressof(c) for c in (*self.sizes, self.info)
-        )
+        # solves sit k strides past the first member's. ints[2] is info.
+        self.ints, (self.order, self.columns, self.info) = _int_arguments(n, 2, 0)
         self.matrix_address, self.solved_address = self.matrices.ctypes.data, self.solved.ctypes.data
         self.matrix_stride, self.solved_stride = self.matrices.strides[0], self.solved.strides[0]
 
@@ -392,10 +402,10 @@ def _likelihoods(
         ws.solved[:count] = geometry.rhs
         for k in range(count):
             matrix = ws.matrix_address + k * ws.matrix_stride
-            potrf(b"L", ws.order, matrix, ws.order, ws.info_address)
-            while ws.info.value:
-                if ws.info.value < 0:
-                    raise RuntimeError(f"invalid factorization argument {-ws.info.value}")
+            potrf(b"L", ws.order, matrix, ws.order, ws.info)
+            while ws.ints[2]:
+                if ws.ints[2] < 0:
+                    raise RuntimeError(f"invalid factorization argument {-ws.ints[2]}")
                 if nuggets[start + k] >= NUGGET_MAX:
                     failed.append(start + k)
                     diagonals[k] = 1.0  # keeps the reductions below finite
@@ -406,10 +416,10 @@ def _likelihoods(
                 member = slice(k * m, (k + 1) * m)
                 ws.flat[ws.scatter[member]] = corr[member]
                 diagonals[k] = 1.0 + nuggets[start + k]
-                potrf(b"L", ws.order, matrix, ws.order, ws.info_address)
+                potrf(b"L", ws.order, matrix, ws.order, ws.info)
             else:
                 trtrs(b"L", b"N", b"N", ws.order, ws.columns, matrix, ws.order,
-                      ws.solved_address + k * ws.solved_stride, ws.order, ws.info_address)
+                      ws.solved_address + k * ws.solved_stride, ws.order, ws.info)
 
         # The row dots and the log of the strided diagonal view, summed
         # pairwise per row, round as one member alone would.
@@ -490,11 +500,11 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
             first = slice_values(workspaces[0], slices[0])
             return np.concatenate([first, *(future.result() for future in futures)])
 
-        result = de.minimize(objective, _mle_bounds(d), evals_per_param * (2 * d + 1), seed)
+        x_best = de.minimize(objective, _mle_bounds(d), evals_per_param * (2 * d + 1), seed)
     # Free the search's buffers first, so a fit never holds them and model_at's at once.
     del geometry, workspaces, objective
 
-    (theta,), (power,), (nugget,) = _decode(result.x_best[None], d)
+    (theta,), (power,), (nugget,) = _decode(x_best[None], d)
     return model_at(data, KrigingHyperparameters(theta, power, float(nugget)))
 
 
@@ -521,17 +531,15 @@ def solve_triangular(chol: np.ndarray, b: np.ndarray, transposed: bool = False) 
     n = upper.shape[0]
     if upper.shape != (n, n) or x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"cannot solve a {upper.shape} factor for right-hand sides {x.shape}")
-    # The order, the right-hand side count, the leading dimension and info as
-    # consecutive C ints: one ctypes object is the cheapest to build per call.
-    sizes = (ctypes.c_int * 4)(n, x.shape[1] if x.ndim == 2 else 1, max(n, 1), 0)
-    order, step = ctypes.addressof(sizes), ctypes.sizeof(ctypes.c_int)
-    columns, leading, info = order + step, order + 2 * step, order + 3 * step
+    ints, (order, columns, leading, info) = _int_arguments(
+        n, x.shape[1] if x.ndim == 2 else 1, max(n, 1), 0
+    )
     _lapack().trtrs(b"U", b"N" if transposed else b"T", b"N", order, columns,
                     upper.ctypes.data, leading, x.ctypes.data, leading, info)
-    if sizes[3] < 0:
-        raise RuntimeError(f"invalid triangular solve argument {-sizes[3]}")
-    if sizes[3] > 0:
-        raise np.linalg.LinAlgError(f"singular factor: diagonal entry {sizes[3]} is zero")
+    if ints[3] < 0:
+        raise RuntimeError(f"invalid triangular solve argument {-ints[3]}")
+    if ints[3] > 0:
+        raise np.linalg.LinAlgError(f"singular factor: diagonal entry {ints[3]} is zero")
     return x
 
 
@@ -567,7 +575,8 @@ class Query:
     once for a search that asks for a generation of points at a time.
 
     ``means`` and ``moments`` take an (m, d) array with m <= capacity and
-    return fresh arrays: the values ``predict_batch`` gives, bit for bit.
+    return fresh arrays: the values ``predict_batch`` gives for the same
+    array, bit for bit (not for the same points split over other calls).
     """
 
     def __init__(self, model: KrigingModel, capacity: int):
@@ -584,12 +593,8 @@ class Query:
         # correlations: in Fortran order, the (n, m) right-hand sides.
         self.upper = np.ascontiguousarray(model.chol, dtype=float)
         self.trtrs = _lapack().trtrs
-        self.sizes = (ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int())  # n, m, info
-        self.addresses = (
-            *(ctypes.addressof(c) for c in self.sizes),
-            self.upper.ctypes.data,
-            self.corr.ctypes.data,
-        )
+        self.ints, addresses = _int_arguments(n, 0, 0)  # n, m, info
+        self.addresses = (*addresses, self.upper.ctypes.data, self.corr.ctypes.data)
 
     def _correlations_at(self, points: np.ndarray) -> np.ndarray:
         """The (m, n) correlations between the points and the training points."""
@@ -611,7 +616,7 @@ class Query:
         corr = self._correlations_at(points)
         means = model.mu_hat + corr @ model.alpha
         order, columns, info, upper, solved = self.addresses
-        self.sizes[1].value = len(points)
+        self.ints[1] = len(points)
         # chol^-1 k for every point, in place.
         self.trtrs(b"U", b"T", b"N", order, columns, upper, order, solved, order, info)
         squares = np.multiply(corr, corr, out=corr)

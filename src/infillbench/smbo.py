@@ -198,8 +198,10 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-def _x_columns(dimension: int) -> list[str]:
-    return [f"x_{i}" for i in range(1, dimension + 1)]
+def _header(dimension: int) -> str:
+    """The header of a run log over ``dimension`` variables: the one the writer
+    writes, and the only one the reader accepts."""
+    return ",".join(["iteration", *(f"x_{i}" for i in range(1, dimension + 1)), *_VALUE_COLUMNS])
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -217,8 +219,7 @@ def write_run_log(log: RunLog, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / run_log_filename(log.config)
-    header = ["iteration", *_x_columns(log.config.dimension), *_VALUE_COLUMNS]
-    lines = [",".join(header)]
+    lines = [_header(log.config.dimension)]
     for r in log.records:
         row = [str(r.iteration), *(_fmt(v) for v in r.x)]
         row += [_fmt(getattr(r, name)) for name in _VALUE_COLUMNS]
@@ -287,14 +288,15 @@ def _parse_value(text: str, name: str) -> Optional[float]:
 
 
 def read_run_log(path) -> RunLog:
-    """Parse a run CSV back into a RunLog, finding each column by its header name.
+    """Parse a run CSV back into a RunLog, reading each row's fields by position.
 
     The RunConfig comes from the log's entry in the manifest beside it, and
     only that entry is checked. MalformedRunLog when the directory has no
     manifest, the manifest does not list the log, a listed log is missing, the
-    record count differs from the entry's ``total_budget``, the iterations are
-    not 1..n, a required field is blank, or a number is cut short or not
-    finite.
+    record count differs from the entry's ``total_budget``, the header is not
+    the one ``write_run_log`` writes for the entry's dimension, a row has
+    another number of fields, the iterations are not 1..n, a required field
+    is blank, or a number is cut short or not finite.
     """
     path = Path(path)
     listed = _listed_settings(path.parent, only=path.name)
@@ -308,26 +310,20 @@ def read_run_log(path) -> RunLog:
     if len(lines) != config.total_budget + 1:
         raise MalformedRunLog(f"run log {path} does not hold the {config.total_budget} records "
                               f"its manifest entry records")
-    x_columns = _x_columns(config.dimension)
-    columns = {name: i for i, name in enumerate(lines[0].split(","))}
-    missing = [c for c in ("iteration", *x_columns, *_VALUE_COLUMNS) if c not in columns]
-    if missing:
-        raise MalformedRunLog(f"run log {path} lacks columns {missing}")
+    header = _header(config.dimension)
+    if lines[0] != header:
+        raise MalformedRunLog(f"run log {path} has the header {lines[0]!r}, not {header!r}")
+    columns, d = header.split(","), config.dimension
     records: list[IterationRecord] = []
     for k, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != len(columns):
             raise MalformedRunLog(f"run log {path} has a row of {len(parts)} fields, not {len(columns)}")
         try:
-            if int(parts[columns["iteration"]]) != k:
-                raise ValueError(f"row {k} is numbered {parts[columns['iteration']]}")
-            records.append(
-                IterationRecord(
-                    iteration=k,
-                    x=np.array([_parse_value(parts[columns[c]], c) for c in x_columns]),
-                    **{c: _parse_value(parts[columns[c]], c) for c in _VALUE_COLUMNS},
-                )
-            )
+            if int(parts[0]) != k:
+                raise ValueError(f"row {k} is numbered {parts[0]}")
+            values = [_parse_value(text, name) for name, text in zip(columns[1:], parts[1:])]
+            records.append(IterationRecord(k, np.array(values[:d]), *values[d:]))
         except ValueError as exc:  # a blank required field, or a number cut short or not finite
             raise MalformedRunLog(f"run log {path}: {exc}") from exc
     return RunLog(config, tuple(records))

@@ -93,6 +93,34 @@ class TestWilcoxon:
                 assert got.statistic == expected.statistic
                 assert abs(got.p_value - expected.pvalue) <= 1e-12
 
+    def test_greater_mirrors_less(self):
+        # One pair of tails: "greater" for (a, b) is "less" for (b, a), to the
+        # bit, on the normal path (tied samples) and the exact one (tie-free).
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            tied = [rng.integers(0, 6, rng.integers(1, 20)).astype(float) for _ in range(2)]
+            distinct = rng.permutation(100)[: rng.integers(2, 17)].astype(float)
+            split = int(rng.integers(1, distinct.size))
+            for a, b in (tied, (distinct[:split], distinct[split:])):
+                assert (wilcoxon_rank_sum(a, b, "greater").p_value
+                        == wilcoxon_rank_sum(b, a, "less").p_value)
+
+    @pytest.mark.parametrize(
+        "a, b, two_sided, less",
+        [
+            ([1.0, 1.0, 2.0], [1.0, 3.0, 3.0], "0x1.6213c81cb495ap-2", "0x1.6213c81cb495ap-3"),
+            ([0.0, 1.0, 1.0, 2.0, 5.0], [1.0, 2.0, 2.0, 3.0, 4.0, 4.0],
+             "0x1.3885d4f0e85bap-2", "0x1.3885d4f0e85bap-3"),
+            ([3.0, 3.0, 1.0, 0.0], [3.0, 7.0, 7.0, 8.0, 2.0], "0x1.a96b257ca0089p-4", "0x1.a96b257ca0089p-5"),
+            # 18 distinct values: past the exact-enumeration limit
+            ([float(v) for v in range(9)], [v + 4.5 for v in range(9)],
+             "0x1.087c8b42c3d5bp-7", "0x1.087c8b42c3d5bp-8"),
+        ],
+    )
+    def test_normal_path_p_values_pinned(self, a, b, two_sided, less):
+        assert wilcoxon_rank_sum(a, b).p_value.hex() == two_sided
+        assert wilcoxon_rank_sum(a, b, "less").p_value.hex() == less
+
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(2)
         for _ in range(40):

@@ -226,6 +226,17 @@ def rewrite_log(path, edit):
     path.write_text("\n".join(",".join(fields) for fields in [header, *rows]) + "\n")
 
 
+def reverse_columns(header, rows):
+    for fields in [header, *rows]:
+        fields.reverse()
+
+
+def append_column(header, rows):
+    header.append("note")
+    for fields in rows:
+        fields.append("0")
+
+
 class TestReadRunLog:
     @pytest.fixture
     def log_path(self, tmp_path):
@@ -234,15 +245,12 @@ class TestReadRunLog:
                         mle_evals_per_param=20)
         return write_listed_log(run(cfg), tmp_path)
 
-    def test_columns_found_by_name(self, log_path):
-        original = read_run_log(log_path)
-
-        def reverse(header, rows):
-            for fields in [header, *rows]:
-                fields.reverse()
-
-        rewrite_log(log_path, reverse)
-        assert records_equal(original.records, read_run_log(log_path).records)
+    @pytest.mark.parametrize("edit", [reverse_columns, append_column], ids=["reordered", "extended"])
+    def test_header_other_than_the_writers_raises(self, log_path, edit):
+        # Every field still parses; only the header differs from the writer's.
+        rewrite_log(log_path, edit)
+        with pytest.raises(MalformedRunLog, match="header"):
+            read_run_log(log_path)
 
     @pytest.mark.parametrize("column", ["y", "gap", "best_gap", "wall_time_ms"])
     def test_blank_required_field_raises(self, log_path, column):
