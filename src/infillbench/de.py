@@ -15,10 +15,15 @@ point with the lowest value it evaluated, the first one on a tie.
 
 A generation's bookkeeping is a fixed handful of numpy calls on buffers
 that every generation reuses: one random draw holds the partner sort keys
-and the crossover draws, one gather takes each member's three partners, and
-the mutants are built, clamped and crossed in place. The one draw gives the
+and the crossover draws, one copy lays each member's keys for the others
+into a row of an n x n key matrix whose diagonal of 2.0 sorts last, one
+row-wise argsort names the three partners, one gather takes them, and the
+mutants are built, clamped and crossed in place. The one draw gives the
 numbers that drawing the keys and then the crossover values would, in the
-same order (tests/test_de.py pins results to the bit).
+same order (tests/test_de.py pins results to the bit). Calls go to ndarray
+methods (``argsort``, ``argmin``, ``take``) rather than the ``np.``
+functions, whose Python dispatch costs more than the work at a population
+of 20.
 """
 
 from __future__ import annotations
@@ -66,17 +71,23 @@ def minimize(
     evaluations = min(budget, n_pop)
     fitness = _sanitize(objective(population[:evaluations]))
 
-    best_index = int(np.argmin(fitness))
+    best_index = int(fitness.argmin())
     x_best = population[best_index].copy()
     f_best = float(fitness[best_index])
 
     member_range = np.arange(n_pop)
     key_count = n_pop * (n_pop - 1)
     # Buffers every generation reuses.
-    partners = np.empty((n_pop, 3), dtype=np.intp)
     donors = np.empty((n_pop, 3, d))
+    base, plus, minus = donors[:, 0], donors[:, 1], donors[:, 2]
     trials = np.empty((n_pop, d))
     inherited = np.empty((n_pop, d), dtype=bool)
+    # Member i's keys for the other members fill row i around a diagonal of
+    # 2.0, above every key in [0, 1), so a member is never its own partner.
+    # In row order, the off-diagonal entries are the flat matrix after its
+    # first entry, seen as rows of n + 1 whose last entry is on the diagonal.
+    keys = np.full((n_pop, n_pop), 2.0)
+    off_diagonal = keys.reshape(-1)[1:].reshape(n_pop - 1, n_pop + 1)[:, :n_pop]
     while evaluations < budget:
         # Trials for the full generation are always generated (three distinct
         # partners per member via random sort keys, then binomial crossover)
@@ -84,19 +95,19 @@ def minimize(
         # One draw holds the sort keys, then the crossover draws: the numbers
         # two draws in turn would give.
         draws = rng.random(key_count + n_pop * d)
-        partners[...] = np.argsort(draws[:key_count].reshape(n_pop, n_pop - 1), axis=1)[:, :3]
-        partners += partners >= member_range[:, None]  # skip the member itself
-        np.take(population, partners, axis=0, out=donors, mode="clip")  # indices are in range
+        off_diagonal[...] = draws[:key_count].reshape(n_pop - 1, n_pop)
+        partners = keys.argsort(axis=1)[:, :3]
+        population.take(partners, axis=0, out=donors, mode="clip")  # indices are in range
         # The mutants r1 + F (r2 - r3), clamped to the box, in place.
-        np.subtract(donors[:, 1], donors[:, 2], out=trials)
+        np.subtract(plus, minus, out=trials)
         trials *= DIFFERENTIAL_WEIGHT
-        trials += donors[:, 0]
+        trials += base
         np.maximum(trials, bounds.lower, out=trials)
         np.minimum(trials, bounds.upper, out=trials)
         # Binomial crossover: a component stays the member's where its draw is
         # at least CROSSOVER_RATE, except one random component per member.
         np.greater_equal(draws[key_count:].reshape(n_pop, d), CROSSOVER_RATE, out=inherited)
-        del draws  # not held while the objective runs
+        del draws, partners  # not held while the objective runs
         inherited[member_range, rng.integers(d, size=n_pop)] = False
         np.copyto(trials, population, where=inherited)
 
@@ -107,7 +118,7 @@ def minimize(
         improved = trial_fitness <= fitness[:take]
         np.copyto(population[:take], trials[:take], where=improved[:, None])
         np.copyto(fitness[:take], trial_fitness, where=improved)
-        gen_best = int(np.argmin(trial_fitness))
+        gen_best = int(trial_fitness.argmin())
         if trial_fitness[gen_best] < f_best:
             f_best = float(trial_fitness[gen_best])
             x_best = trials[gen_best].copy()

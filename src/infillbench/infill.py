@@ -53,10 +53,11 @@ def improvement_from_moments(means, variances, y_best: float):
     stds = np.sqrt(np.asarray(variances, dtype=float))
     shortfall = y_best - means
     deterministic = np.maximum(shortfall, 0.0)
-    safe_stds = np.where(stds < DETERMINISTIC_STD, 1.0, stds)
+    vanishing = stds < DETERMINISTIC_STD
+    safe_stds = np.where(vanishing, 1.0, stds)
     z = shortfall / safe_stds
     stochastic = shortfall * standard_normal_cdf(z) + safe_stds * standard_normal_pdf(z)
-    return np.where(stds < DETERMINISTIC_STD, deterministic, np.maximum(stochastic, 0.0))
+    return np.where(vanishing, deterministic, np.maximum(stochastic, 0.0))
 
 
 def propose(
@@ -77,13 +78,15 @@ def propose(
     if model is None:
         raise ValueError(f"criterion {criterion.value!r} needs a fitted model")
 
-    # One query workspace serves every generation of the search.
+    # One query workspace serves every generation of the search, and one
+    # errstate silences the log(0) of every generation's kernel.
     query = Query(model, de.population_size(bounds.dimension))
     if criterion is InfillCriterion.PREDICTED_VALUE:
-        objective = query.means
+        objective = query.search_means
     else:
 
         def objective(points: np.ndarray) -> np.ndarray:
-            return -improvement_from_moments(*query.moments(points), y_best)
+            return -improvement_from_moments(*query.search_moments(points), y_best)
 
-    return de.minimize(objective, bounds, MODEL_EVALS_PER_DIMENSION * bounds.dimension, seed)
+    with np.errstate(divide="ignore"):
+        return de.minimize(objective, bounds, MODEL_EVALS_PER_DIMENSION * bounds.dimension, seed)

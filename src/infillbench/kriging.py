@@ -24,9 +24,12 @@ at up to a given number of points a call, per point
 
 where k is the correlation vector between x and the training points.
 ``Query.means`` gives the means alone, ``Query.moments`` both. A proposal
-search builds one query and reuses it for every generation; ``predict_batch``
-takes an (m, d) array of points (one (d,) point is one row), checks it and
-answers it with a query of its own. The infill criteria score these moments.
+search builds one query and reuses it for every generation, through
+``Query.search_means`` and ``Query.search_moments``: the same answers, with
+the ``np.errstate`` that silences the kernel's log(0) entered once around the
+whole search rather than once a call. ``predict_batch`` takes an (m, d)
+array of points (one (d,) point is one row), checks it and answers it with a
+query of its own. The infill criteria score these moments.
 A query and ``predict_batch`` agree bit for bit on the same rows asked in
 one call. A point's mean also depends on the call it is asked in: the means
 are one matrix-vector product, and OpenBLAS's ``dgemv`` rounds the rows past
@@ -184,14 +187,21 @@ class Dataset:
         return self.X.shape[1]
 
     def deduplicated(self) -> "Dataset":
-        """Drop rows within DUPLICATE_TOL (max-norm) of an earlier row, keeping the first."""
-        keep: list[int] = []
-        for i in range(self.n):
-            kept = self.X[keep]
-            if keep and float(np.abs(kept - self.X[i]).max(axis=1).min()) < DUPLICATE_TOL:
-                continue
-            keep.append(i)
-        if len(keep) == self.n:
+        """Drop rows within DUPLICATE_TOL (max-norm) of an earlier kept row, keeping the first."""
+        n = self.n
+        # The pairwise max-norm distances, accumulated one dimension at a time,
+        # so no (n, n, d) temporary is ever built.
+        distances, gaps = np.zeros((n, n)), np.empty((n, n))
+        for column in self.X.T:
+            np.subtract(column[:, None], column, out=gaps)
+            np.maximum(distances, np.abs(gaps, out=gaps), out=distances)
+        near = distances < DUPLICATE_TOL  # every row is near itself
+        keep = np.ones(n, dtype=bool)
+        # A row is dropped only for a near earlier row that is kept, so the
+        # rows near others, rare in a run, are settled in order.
+        for i in (near.sum(axis=1) > 1).nonzero()[0]:
+            keep[i] = not (near[i, :i] & keep[:i]).any()
+        if keep.all():
             return self
         return Dataset(self.X[keep], self.y[keep])
 
@@ -238,32 +248,43 @@ class KrigingModel:
 # |delta_i|^p_i = exp(p_i * log|delta_i|) in _powered, and sum the terms to
 # correlations in _correlations. Each difference and term is an elementwise
 # subtraction, product or exp, bit for bit alike in any array layout, which
-# lets Query subtract a tiled copy of X in place of a broadcast;
-# log(0) = -inf propagates to a clean |delta|^p = 0. The sum over dimensions
-# is a matrix product whose rounding depends on the array shape, so the two
-# routes agree to a few ulps, and exactly only at d = 1.
+# lets Query subtract a tiled copy of X in place of a broadcast, and lets
+# both routes multiply rows of whole points by one repeated power row: the
+# fit's tile row of at least 128 terms, the query's row of n * d terms.
+# log(0) = -inf propagates to a clean |delta|^p = 0; its divide warning is
+# silenced once per fit in _Geometry, once per call in Query.means and
+# Query.moments, and once per proposal search in infill.propose. The sum over
+# dimensions is a matrix product with -theta: rounding is symmetric in sign,
+# so that is exactly the negated product with theta. Its rounding depends on
+# the array shape, so the two routes agree to a few ulps, and exactly only
+# at d = 1.
 # ---------------------------------------------------------------------------
 
 
 def _log_abs(diffs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(diffs, out=out), out=out)
+    """log|diffs|; the caller silences the divide warning of log(0)."""
+    return np.log(np.abs(diffs, out=out), out=out)
 
 
-def _powered(log_abs: np.ndarray, power: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The terms exp(power * log_abs), written to ``out``, which may be ``log_abs``."""
-    np.multiply(log_abs, power, out=out)
+def _powered(log_abs: np.ndarray, power_row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The terms exp(power * log_abs), written to ``out``, which may be ``log_abs``.
+
+    ``log_abs`` holds rows of whole (d,) points, and ``power_row`` the (d,)
+    exponents repeated along one such row, so the product runs in long
+    contiguous loops rather than d terms at a time.
+    """
+    np.multiply(log_abs, power_row, out=out)
     return np.exp(out, out=out)
 
 
-def _correlations(terms: np.ndarray, theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(-terms @ theta): correlations over the last axis of (..., d) terms.
+def _correlations(terms: np.ndarray, neg_theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(terms @ -theta): correlations over the last axis of (..., d) terms.
 
-    ``theta`` is one (d,) vector or a stack of (d, 1) columns, one per leading
-    index of ``terms``; the result is written to ``out`` when given.
+    ``neg_theta`` is -theta, one (d,) vector or a stack of (d, 1) columns, one
+    per leading index of ``terms``; the result is written to ``out`` when
+    given.
     """
-    corr = np.matmul(terms, theta, out=out)
-    np.negative(corr, out=corr)
+    corr = np.matmul(terms, neg_theta, out=out)
     return np.exp(corr, out=corr)
 
 
@@ -284,7 +305,8 @@ class _Geometry:
         padded = np.zeros((-(-m // self.tile) * self.tile, d))
         diffs = np.take(X, rows, axis=0, out=padded[:m])
         diffs -= X[cols]
-        _log_abs(diffs, out=diffs)
+        with np.errstate(divide="ignore"):
+            _log_abs(diffs, out=diffs)
         self.log_tiles = padded.reshape(-1, self.tile * d)
         # Both right-hand sides as rows: one member's (2, n) block of a
         # workspace's solves is the (n, 2) matrix dtrtrs reads in Fortran order.
@@ -318,7 +340,6 @@ class _FitWorkspace:
             if capacity == 1
             else (geometry.lower_flat + n * n * np.arange(capacity)[:, None]).ravel()
         )
-        self.power_tiles = np.empty((capacity, 1, geometry.log_tiles.shape[1]))
         self.powered = np.empty((capacity, *geometry.log_tiles.shape))
         self.terms = self.powered.reshape(capacity, -1, geometry.d)[:, :m]
         self.corr = np.empty((capacity, m))
@@ -387,14 +408,15 @@ def _likelihoods(
     n, m, total = geometry.n, len(geometry.lower_flat), len(nuggets)
     mu_hat, squares, half_log_det = np.empty(total), np.empty(total), np.empty(total)
     diagonal_values = (1.0 + nuggets)[:, None]
+    neg_thetas = -thetas[:, :, None]
     failed = []
     for start in range(0, total, ws.capacity):
         stop = min(start + ws.capacity, total)
         count = stop - start
-        power_tiles = ws.power_tiles[:count]
-        power_tiles.reshape(count, geometry.tile, -1)[...] = powers[start:stop, None, :]
+        # Each member's powers repeated to one tile row.
+        power_tiles = powers[start:stop].repeat(geometry.tile, axis=0).reshape(count, 1, -1)
         _powered(geometry.log_tiles, power_tiles, out=ws.powered[:count])
-        _correlations(ws.terms[:count], thetas[start:stop, :, None], out=ws.corr[:count, :, None])
+        _correlations(ws.terms[:count], neg_thetas[start:stop], out=ws.corr[:count, :, None])
         corr = ws.corr_flat[: count * m]
         ws.flat[ws.scatter[: corr.size]] = corr
         diagonals = ws.diagonals[:count]
@@ -458,9 +480,9 @@ def _mle_bounds(dimension: int) -> BoxBounds:
 def _decode(vectors: np.ndarray, dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B, 2d+1) search vectors -> (B, d) theta, (B, d) power and (B,) nugget;
     theta and nugget live in log10 scale."""
-    # The nugget is raised one numpy scalar at a time: the vectorized power
+    # The nugget is raised one Python float at a time: the vectorized power
     # rounds differently on hosts with SIMD math (AVX-512 among them).
-    nuggets = [10.0 ** v for v in vectors[:, 2 * dimension]]
+    nuggets = [10.0 ** v for v in vectors[:, 2 * dimension].tolist()]
     return 10.0 ** vectors[:, :dimension], vectors[:, dimension : 2 * dimension], np.array(nuggets)
 
 
@@ -577,6 +599,9 @@ class Query:
     ``means`` and ``moments`` take an (m, d) array with m <= capacity and
     return fresh arrays: the values ``predict_batch`` gives for the same
     array, bit for bit (not for the same points split over other calls).
+    A search calls ``search_means`` and ``search_moments`` instead, the same
+    answers without the ``np.errstate`` that silences the kernel's log(0):
+    it enters that state once around the whole search.
     """
 
     def __init__(self, model: KrigingModel, capacity: int):
@@ -587,6 +612,9 @@ class Query:
         # not a broadcast that runs m * n inner loops of length d.
         self.tiled = np.tile(X, (capacity, 1)).reshape(capacity, n, d)
         self.buf = np.empty((capacity, n, d))
+        # The exponents repeated along one point's n * d terms.
+        self.power_row = np.tile(model.params.power, n)
+        self.neg_theta = -model.params.theta
         self.corr = np.empty((capacity, n))
         # dtrtrs reads the C-ordered chol in place as the Fortran-ordered upper
         # factor chol.T, and solves in place in the C-ordered (m, n)
@@ -602,16 +630,17 @@ class Query:
         # One (m, n, d) buffer, transformed in place. The contraction stays on
         # this 3-D shape: a (m*n, d) or (d, m, n) layout rounds differently at d=10.
         buf = self.buf[:m]
-        np.subtract(np.repeat(points, n, axis=0).reshape(m, n, d), self.tiled[:m], out=buf)
-        terms = _powered(_log_abs(buf, out=buf), self.model.params.power, out=buf)
-        return _correlations(terms, self.model.params.theta, out=self.corr[:m])
+        np.subtract(points.repeat(n, axis=0).reshape(m, n, d), self.tiled[:m], out=buf)
+        log_abs = _log_abs(buf, out=buf).reshape(m, n * d)
+        _powered(log_abs, self.power_row, out=log_abs)
+        return _correlations(buf, self.neg_theta, out=self.corr[:m])
 
-    def means(self, points: np.ndarray) -> np.ndarray:
-        """Predictive means, one per row of ``points``."""
+    def search_means(self, points: np.ndarray) -> np.ndarray:
+        """``means`` for a caller that silences divide warnings itself."""
         return self.model.mu_hat + self._correlations_at(points) @ self.model.alpha
 
-    def moments(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive means and variances, one each per row of ``points``."""
+    def search_moments(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``moments`` for a caller that silences divide warnings itself."""
         model = self.model
         corr = self._correlations_at(points)
         means = model.mu_hat + corr @ model.alpha
@@ -620,8 +649,18 @@ class Query:
         # chol^-1 k for every point, in place.
         self.trtrs(b"U", b"T", b"N", order, columns, upper, order, solved, order, info)
         squares = np.multiply(corr, corr, out=corr)
-        variances = model.sigma2_hat * (1.0 + model.params.nugget - squares.sum(axis=1))
+        variances = model.sigma2_hat * (1.0 + model.params.nugget - np.add.reduce(squares, axis=1))
         return means, np.maximum(variances, 0.0)
+
+    def means(self, points: np.ndarray) -> np.ndarray:
+        """Predictive means, one per row of ``points``."""
+        with np.errstate(divide="ignore"):
+            return self.search_means(points)
+
+    def moments(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive means and variances, one each per row of ``points``."""
+        with np.errstate(divide="ignore"):
+            return self.search_moments(points)
 
 
 def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

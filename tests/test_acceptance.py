@@ -255,7 +255,7 @@ def test_criterion_5_budget_accounting(monkeypatch, search_rows):
     row_counter = {"n": 0}
 
     def counting(query_method):
-        # Proposals query the model only through a Query's means or moments.
+        # Proposals query the model only through a Query's search methods.
         def counted(query, points):
             row_counter["n"] += np.atleast_2d(points).shape[0]
             return query_method(query, points)
@@ -272,8 +272,8 @@ def test_criterion_5_budget_accounting(monkeypatch, search_rows):
     monkeypatch.setattr(smbo_module, "evaluate", counting_evaluate)
     monkeypatch.setattr(smbo_module, "fit", tracking_fit)
     monkeypatch.setattr(smbo_module, "propose", tracking_propose)
-    monkeypatch.setattr(Query, "means", counting(Query.means))
-    monkeypatch.setattr(Query, "moments", counting(Query.moments))
+    monkeypatch.setattr(Query, "search_means", counting(Query.search_means))
+    monkeypatch.setattr(Query, "search_moments", counting(Query.search_moments))
 
     total_budget, d = 25, 2
     for criterion in (InfillCriterion.EXPECTED_IMPROVEMENT, InfillCriterion.PREDICTED_VALUE):

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from infillbench import de
 from infillbench.design import BoxBounds
 from infillbench.infill import InfillCriterion, improvement_from_moments, propose
-from infillbench.kriging import Dataset, Query, fit, predict_batch
+from infillbench.kriging import (
+    Dataset,
+    KrigingHyperparameters,
+    Query,
+    fit,
+    model_at,
+    predict_batch,
+    solve_triangular,
+)
+from infillbench.numerics import standard_normal_cdf, standard_normal_pdf
 
 
 @pytest.fixture(scope="module")
@@ -107,15 +117,15 @@ class TestPropose:
         counter = {"rows": 0}
 
         def counting(query_method):
-            # Proposals query the model only through a Query's means or moments.
+            # Proposals query the model only through a Query's search methods.
             def counted(query, points):
                 counter["rows"] += np.atleast_2d(points).shape[0]
                 return query_method(query, points)
 
             return counted
 
-        monkeypatch.setattr(Query, "means", counting(Query.means))
-        monkeypatch.setattr(Query, "moments", counting(Query.moments))
+        monkeypatch.setattr(Query, "search_means", counting(Query.search_means))
+        monkeypatch.setattr(Query, "search_moments", counting(Query.search_moments))
         bounds = BoxBounds([0.0], [1.0])
         propose(parabola_model, InfillCriterion.PREDICTED_VALUE, bounds, 0.0, seed=2)
         assert counter["rows"] == 1000 * 1
@@ -132,3 +142,73 @@ class TestPropose:
         bounds = BoxBounds.cube(2)
         proposal = propose(None, InfillCriterion.RANDOM_SEARCH, bounds, 0.0, seed=3)
         assert bounds.contains(proposal)
+
+
+def unbuffered_moments(model, points):
+    """The query routine every cached run log was made with: a broadcast
+    difference, the kernel out of place and solve_triangular on a copy of the
+    correlations."""
+    params = model.params
+    with np.errstate(divide="ignore"):
+        terms = np.exp(np.log(np.abs(points[:, None, :] - model.data.X[None])) * params.power)
+    corr = np.exp(-(terms @ params.theta))
+    means = model.mu_hat + corr @ model.alpha
+    whitened = solve_triangular(model.chol, corr.T)
+    variances = model.sigma2_hat * (1.0 + params.nugget - (whitened * whitened).sum(axis=0))
+    return means, np.maximum(variances, 0.0)
+
+
+def reference_improvement(means, variances, y_best):
+    """Expected improvement as the cached run logs computed it."""
+    stds = np.sqrt(variances)
+    shortfall = y_best - means
+    deterministic = np.maximum(shortfall, 0.0)
+    safe_stds = np.where(stds < 1.0e-12, 1.0, stds)
+    z = shortfall / safe_stds
+    stochastic = shortfall * standard_normal_cdf(z) + safe_stds * standard_normal_pdf(z)
+    return np.where(stds < 1.0e-12, deterministic, np.maximum(stochastic, 0.0))
+
+
+@pytest.mark.parametrize("criterion", [InfillCriterion.PREDICTED_VALUE, InfillCriterion.EXPECTED_IMPROVEMENT])
+@pytest.mark.parametrize("d, n", [(2, 25), (2, 39), (5, 60), (10, 150)])
+def test_proposal_is_the_reference_search_point(monkeypatch, d, n, criterion):
+    # The whole proposal path, pinned on any host: the same point as a search
+    # driven by the reference routines, and every value the search saw equal
+    # to the reference value of the same trials.
+    rng = np.random.default_rng(7 * d + n)
+    X = rng.uniform(-5.0, 5.0, (n, d))
+    X[::5, 0] = 5.0  # rows on the box face, where clamped trials meet them
+    data = Dataset(X, np.sin(X).sum(axis=1) + 0.05 * (X * X).sum(axis=1))
+    params = KrigingHyperparameters(
+        10.0 ** rng.uniform(-1.5, 0.0, d) / d, rng.uniform(0.5, 2.0, d), 1e-6
+    )
+    model = model_at(data, params)
+    bounds, y_best = BoxBounds.cube(d), float(data.y.min())
+    if criterion is InfillCriterion.PREDICTED_VALUE:
+
+        def reference(points):
+            return unbuffered_moments(model, points)[0]
+
+    else:
+
+        def reference(points):
+            return -reference_improvement(*unbuffered_moments(model, points), y_best)
+
+    seen, original = [], de.minimize
+
+    def recording(objective, *args):
+        def recorded(points):
+            values = objective(points)
+            seen.append((points.copy(), values))
+            return values
+
+        return original(recorded, *args)
+
+    for seed in range(4):
+        expected = de.minimize(reference, bounds, 1000 * d, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(de, "minimize", recording)
+            np.testing.assert_array_equal(propose(model, criterion, bounds, y_best, seed), expected)
+    assert sum(len(points) for points, _ in seen) == 4 * 1000 * d
+    for points, values in seen:
+        np.testing.assert_array_equal(values, reference(points))

@@ -3,6 +3,7 @@ import glob
 import os
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -657,6 +658,31 @@ class TestQuery:
         query.moments(rng.uniform(-3.0, 3.0, (4, 2)))
         np.testing.assert_array_equal(query.means(P), means)
         for expected, got in zip(moments, query.moments(P)):
+            np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_queries_emit_no_warning_at_zero_distances(d):
+    # A zero coordinate difference takes log(0) = -inf inside the kernel; the
+    # public calls silence it themselves, outside any search's errstate.
+    rng = np.random.default_rng(40 + d)
+    data = smooth_dataset(rng, 12, d)
+    X = data.X.copy()
+    X[-1] = 3.0  # a training point at a corner of the box [-3, 3]^d
+    model = model_at(Dataset(X, data.y), random_params(rng, d))
+    shared = rng.uniform(-3.0, 3.0, d)
+    shared[0] = X[2, 0]
+    cases = {"training point": X[4], "shared coordinate": shared, "box corner": np.full(d, 3.0)}
+    for name, point in cases.items():
+        points = np.stack([point, rng.uniform(-3.0, 3.0, d)])
+        query = Query(model, len(points))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = query.means(points)
+            moments = query.moments(points)
+            batch = predict_batch(model, points)
+        assert np.all(np.isfinite(means)), name
+        for got, expected in zip(moments, batch):
             np.testing.assert_array_equal(got, expected)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from infillbench.de import minimize
 from infillbench.design import BoxBounds
 from infillbench.infill import improvement_from_moments
-from infillbench.kriging import Dataset, KrigingHyperparameters, model_at, predict_batch
+from infillbench.kriging import DUPLICATE_TOL, Dataset, KrigingHyperparameters, model_at, predict_batch
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -114,3 +114,40 @@ def test_de_spends_exactly_its_budget(d, budget, seed):
     x_best = minimize(objective, bounds, budget, seed)
     assert sum(calls) == budget
     assert bounds.contains(x_best)
+
+
+def deduplicated_rows_by_loop(X):
+    """Dataset.deduplicated's keep-first rule as one loop over the rows: a row
+    is kept unless an earlier kept row lies within DUPLICATE_TOL in max-norm."""
+    keep = []
+    for i in range(len(X)):
+        kept = X[keep]
+        if keep and float(np.abs(kept - X[i]).max(axis=1).min()) < DUPLICATE_TOL:
+            continue
+        keep.append(i)
+    return keep
+
+
+@st.composite
+def near_duplicate_rows(draw):
+    # Rows drawn from a few base points, some repeated exactly and some moved
+    # along a chain of 0.6 * DUPLICATE_TOL steps: consecutive chain points are
+    # near each other, points two steps apart are not.
+    d = draw(st.integers(1, 4))
+    bases = draw(points(d, draw(st.integers(1, 4))))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.integers(0, 4)),
+                          min_size=1, max_size=30))
+    axis = draw(st.integers(0, d - 1))
+    X = np.array([bases[base] for base, _ in picks])
+    X[:, axis] += np.array([step for _, step in picks]) * (0.6 * DUPLICATE_TOL)
+    return X
+
+
+@SETTINGS
+@given(near_duplicate_rows())
+def test_deduplicated_keeps_the_rows_of_the_loop(X):
+    rows = np.arange(len(X), dtype=float)
+    kept = Dataset(X, rows).deduplicated()
+    expected = deduplicated_rows_by_loop(X)
+    np.testing.assert_array_equal(kept.y, expected)
+    np.testing.assert_array_equal(kept.X, X[expected])
