@@ -57,8 +57,13 @@ class CampaignConfig:
         object.__setattr__(
             self, "criteria", tuple(InfillCriterion(c) for c in self.criteria)
         )
-        if not (self.functions and self.dimensions and self.instances and self.criteria):
-            raise ConfigParseError("functions, dimensions, instances, and criteria must be non-empty")
+        for name in ("functions", "dimensions", "instances", "criteria"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigParseError(f"{name} must be non-empty")
+            # A repeated value would plan two runs with one seed and one log file.
+            if len(set(values)) < len(values):
+                raise ConfigParseError(f"{name} must not repeat a value")
         if self.workers < 1:
             raise ConfigParseError("workers must be positive")
         known = {entry.function_id for entry in list_suite()}

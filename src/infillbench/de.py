@@ -46,7 +46,8 @@ def _sanitize(values: np.ndarray) -> np.ndarray:
 
 def population_size(dimension: int) -> int:
     """Members of a population over ``dimension`` variables: ``min(10 * d, 50)``,
-    at least 10 >= 4, so rand/1 always finds three partners."""
+    at least 10 >= 4 since a box has at least one dimension, so rand/1 always
+    finds three partners."""
     return min(10 * dimension, 50)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 
 class InvalidBounds(Exception):
-    """Lower and upper bounds do not describe a non-degenerate box."""
+    """Lower and upper bounds do not describe a non-degenerate box of at least one dimension."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,10 +25,9 @@ class BoxBounds:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise InvalidBounds(
-                f"bound vectors must be 1-d and equal length, got {lower.shape} and {upper.shape}"
-            )
+        if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
+            raise InvalidBounds(f"bound vectors must be 1-d, non-empty and equal length, "
+                                f"got {lower.shape} and {upper.shape}")
         if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
             raise InvalidBounds("bounds must be finite")
         if not np.all(lower < upper):

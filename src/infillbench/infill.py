@@ -82,11 +82,11 @@ def propose(
     # errstate silences the log(0) of every generation's kernel.
     query = Query(model, de.population_size(bounds.dimension))
     if criterion is InfillCriterion.PREDICTED_VALUE:
-        objective = query.search_means
+        objective = query.means
     else:
 
         def objective(points: np.ndarray) -> np.ndarray:
-            return -improvement_from_moments(*query.search_moments(points), y_best)
+            return -improvement_from_moments(*query.moments(points), y_best)
 
     with np.errstate(divide="ignore"):
         return de.minimize(objective, bounds, MODEL_EVALS_PER_DIMENSION * bounds.dimension, seed)

@@ -24,12 +24,12 @@ at up to a given number of points a call, per point
 
 where k is the correlation vector between x and the training points.
 ``Query.means`` gives the means alone, ``Query.moments`` both. A proposal
-search builds one query and reuses it for every generation, through
-``Query.search_means`` and ``Query.search_moments``: the same answers, with
-the ``np.errstate`` that silences the kernel's log(0) entered once around the
-whole search rather than once a call. ``predict_batch`` takes an (m, d)
+search builds one query and reuses it for every generation. A query leaves
+the divide warning of the kernel's log(0) to its caller: ``infill.propose``
+silences it once around the whole search. ``predict_batch`` takes an (m, d)
 array of points (one (d,) point is one row), checks it and answers it with a
-query of its own. The infill criteria score these moments.
+query of its own, inside an ``np.errstate`` of its own. The infill criteria
+score these moments.
 A query and ``predict_batch`` agree bit for bit on the same rows asked in
 one call. A point's mean also depends on the call it is asked in: the means
 are one matrix-vector product, and OpenBLAS's ``dgemv`` rounds the rows past
@@ -252,12 +252,12 @@ class KrigingModel:
 # both routes multiply rows of whole points by one repeated power row: the
 # fit's tile row of at least 128 terms, the query's row of n * d terms.
 # log(0) = -inf propagates to a clean |delta|^p = 0; its divide warning is
-# silenced once per fit in _Geometry, once per call in Query.means and
-# Query.moments, and once per proposal search in infill.propose. The sum over
-# dimensions is a matrix product with -theta: rounding is symmetric in sign,
-# so that is exactly the negated product with theta. Its rounding depends on
-# the array shape, so the two routes agree to a few ulps, and exactly only
-# at d = 1.
+# silenced once per fit in _Geometry, once per call in predict_batch, and
+# once per proposal search in infill.propose; Query leaves it to its caller.
+# The sum over dimensions is a matrix product with -theta: rounding is
+# symmetric in sign, so that is exactly the negated product with theta. Its
+# rounding depends on the array shape, so the two routes agree to a few ulps,
+# and exactly only at d = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -599,9 +599,9 @@ class Query:
     ``means`` and ``moments`` take an (m, d) array with m <= capacity and
     return fresh arrays: the values ``predict_batch`` gives for the same
     array, bit for bit (not for the same points split over other calls).
-    A search calls ``search_means`` and ``search_moments`` instead, the same
-    answers without the ``np.errstate`` that silences the kernel's log(0):
-    it enters that state once around the whole search.
+    Neither enters an ``np.errstate``: the caller silences the divide warning
+    of the kernel's log(0), as ``predict_batch`` does once a call and
+    ``infill.propose`` once around a whole search.
     """
 
     def __init__(self, model: KrigingModel, capacity: int):
@@ -635,12 +635,12 @@ class Query:
         _powered(log_abs, self.power_row, out=log_abs)
         return _correlations(buf, self.neg_theta, out=self.corr[:m])
 
-    def search_means(self, points: np.ndarray) -> np.ndarray:
-        """``means`` for a caller that silences divide warnings itself."""
+    def means(self, points: np.ndarray) -> np.ndarray:
+        """Predictive means, one per row of ``points``."""
         return self.model.mu_hat + self._correlations_at(points) @ self.model.alpha
 
-    def search_moments(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``moments`` for a caller that silences divide warnings itself."""
+    def moments(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive means and variances, one each per row of ``points``."""
         model = self.model
         corr = self._correlations_at(points)
         means = model.mu_hat + corr @ model.alpha
@@ -651,16 +651,6 @@ class Query:
         squares = np.multiply(corr, corr, out=corr)
         variances = model.sigma2_hat * (1.0 + model.params.nugget - np.add.reduce(squares, axis=1))
         return means, np.maximum(variances, 0.0)
-
-    def means(self, points: np.ndarray) -> np.ndarray:
-        """Predictive means, one per row of ``points``."""
-        with np.errstate(divide="ignore"):
-            return self.search_means(points)
-
-    def moments(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive means and variances, one each per row of ``points``."""
-        with np.errstate(divide="ignore"):
-            return self.search_moments(points)
 
 
 def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -673,4 +663,5 @@ def predict_batch(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, 
     d = model.data.dimension
     if points.ndim != 2 or points.shape[1] != d:
         raise ValueError(f"expected points of dimension {d}, got shape {points.shape}")
-    return Query(model, len(points)).moments(points)
+    with np.errstate(divide="ignore"):
+        return Query(model, len(points)).moments(points)

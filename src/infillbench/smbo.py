@@ -121,9 +121,28 @@ def run(config: RunConfig) -> RunLog:
     values = np.empty(budget)
     records: list[IterationRecord] = []
     best_gap = np.inf
-
-    def record_evaluation(k: int, x: np.ndarray, started: float, nll: Optional[float]):
-        nonlocal best_gap
+    criterion = config.infill
+    design = latin_hypercube(n_init, bounds, substream_seed(config.seed, _STREAM_DESIGN))
+    for k in range(1, budget + 1):
+        started = time.perf_counter()
+        model = None
+        if k <= n_init:
+            x = design[k - 1]
+        else:
+            # A constant-valued design cannot identify a surrogate; such a run keeps
+            # going on random proposals, and its log shows it: no model_nll after the design.
+            if k == n_init + 1 and criterion.model_based and float(np.ptp(values[:n_init])) == 0.0:
+                criterion = InfillCriterion.RANDOM_SEARCH
+            if criterion.model_based:
+                model = fit(
+                    Dataset(points[: k - 1], values[: k - 1]),
+                    substream_seed(config.seed, _STREAM_FIT, k),
+                    evals_per_param=config.mle_evals_per_param,
+                )
+            x = propose(
+                model, criterion, bounds, float(values[: k - 1].min()),
+                substream_seed(config.seed, _STREAM_PROPOSE, k),
+            )
         nn = nearest_neighbor_distance(points[: k - 1], x) if k > 1 else None
         y = evaluate(func, x)
         points[k - 1] = x
@@ -138,35 +157,10 @@ def run(config: RunConfig) -> RunLog:
                 gap=gap,
                 best_gap=best_gap,
                 nn_distance=nn,
-                model_nll=nll,
+                model_nll=None if model is None else model.neg_log_likelihood,
                 wall_time_ms=(time.perf_counter() - started) * 1e3,
             )
         )
-
-    design = latin_hypercube(n_init, bounds, substream_seed(config.seed, _STREAM_DESIGN))
-    for k in range(1, n_init + 1):
-        started = time.perf_counter()
-        record_evaluation(k, design[k - 1], started, None)
-
-    # A constant-valued design cannot identify a surrogate; such a run keeps
-    # going on random proposals, and its log shows it: no model_nll after the design.
-    degenerate = config.infill.model_based and float(np.ptp(values[:n_init])) == 0.0
-    criterion = InfillCriterion.RANDOM_SEARCH if degenerate else config.infill
-
-    for k in range(n_init + 1, budget + 1):
-        started = time.perf_counter()
-        model = None
-        if criterion.model_based:
-            model = fit(
-                Dataset(points[: k - 1], values[: k - 1]),
-                substream_seed(config.seed, _STREAM_FIT, k),
-                evals_per_param=config.mle_evals_per_param,
-            )
-        x_next = propose(
-            model, criterion, bounds, float(values[: k - 1].min()),
-            substream_seed(config.seed, _STREAM_PROPOSE, k),
-        )
-        record_evaluation(k, x_next, started, None if model is None else model.neg_log_likelihood)
 
     return RunLog(config=config, records=tuple(records))
 

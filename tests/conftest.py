@@ -1,6 +1,62 @@
+import ctypes
+import glob
+import os
+
+import numpy as np
 import pytest
 
 import infillbench.de as de
+
+
+def numeric_host():
+    """What the exact bits of a fit depend on besides the code: the numpy and
+    scipy versions, the SIMD targets numpy dispatches to here (its float64
+    exp and log take an AVX-512 path only on some CPUs) and the runtime core
+    of the OpenBLAS each package bundles (f13's rotation goes through numpy's
+    BLAS, the Cholesky through scipy's LAPACK). A core that cannot be read is
+    None."""
+    import scipy
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+
+    def openblas_core(package):
+        libraries = os.path.join(os.path.dirname(package.__file__), "..", package.__name__ + ".libs")
+        for path in glob.glob(os.path.join(libraries, "*openblas*")):
+            library = ctypes.CDLL(path)
+            for prefix in ("scipy_openblas", "openblas"):
+                for name in (f"{prefix}_get_corename64_", f"{prefix}_get_corename"):
+                    if hasattr(library, name):
+                        getattr(library, name).restype = ctypes.c_char_p
+                        return getattr(library, name)().decode()
+        return None
+
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "simd": sorted(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)),
+        "openblas": [openblas_core(np), openblas_core(scipy)],
+    }
+
+
+# The host every golden value in the suite (fits, run logs) was recorded on.
+GOLDEN_HOST = {
+    "numpy": "2.4.6",
+    "scipy": "1.17.1",
+    "simd": ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"],
+    "openblas": ["SkylakeX", "SkylakeX"],
+}
+
+
+@pytest.fixture
+def golden_host():
+    """Skip a test of recorded bits on any host other than GOLDEN_HOST, where
+    the same code may round otherwise."""
+    host = numeric_host()
+    if host != GOLDEN_HOST:
+        pytest.skip(f"golden bits were recorded on {GOLDEN_HOST}, not this host {host}")
 
 
 @pytest.fixture

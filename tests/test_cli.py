@@ -187,6 +187,20 @@ class TestRunCommand:
             assert main(["run", str(config), "--output-dir", str(out_dir)]) == EXIT_CONFIG
             assert not out_dir.exists(), overrides
 
+    def test_repeated_grid_value_is_config_error_before_any_io(self, tmp_path, capsys):
+        out_dir = tmp_path / "X"
+        cases = {
+            "functions": [3, 3],
+            "dimensions": [2, 2],
+            "instances": [1, 2, 1],
+            "criteria": ["pm", "ei", "pm"],
+        }
+        for name, values in cases.items():
+            config = write_config(tmp_path, small_campaign(tmp_path, **{name: values}))
+            assert main(["run", str(config), "--output-dir", str(out_dir)]) == EXIT_CONFIG
+            assert f"{name} must not repeat a value" in capsys.readouterr().err
+            assert not out_dir.exists(), name
+
     def test_fit_budget_below_de_population_completes(self, tmp_path):
         # 2 * (2d + 1) = 10 likelihood evaluations per fit, below DE's population of 50
         mapping = small_campaign(tmp_path, total_budget=12, mle_evals_per_param=2)

@@ -20,6 +20,13 @@ class TestBoxBounds:
         with pytest.raises(InvalidBounds):
             BoxBounds([0.0], [1.0, 2.0])
 
+    def test_rejects_a_box_of_no_dimensions(self):
+        # Every other check holds vacuously on empty bound vectors.
+        with pytest.raises(InvalidBounds, match="non-empty"):
+            BoxBounds([], [])
+        with pytest.raises(InvalidBounds, match="non-empty"):
+            BoxBounds.cube(0)
+
     def test_cube(self):
         b = BoxBounds.cube(3)
         assert b.dimension == 3

@@ -117,15 +117,15 @@ class TestPropose:
         counter = {"rows": 0}
 
         def counting(query_method):
-            # Proposals query the model only through a Query's search methods.
+            # Proposals query the model only through Query.means and Query.moments.
             def counted(query, points):
                 counter["rows"] += np.atleast_2d(points).shape[0]
                 return query_method(query, points)
 
             return counted
 
-        monkeypatch.setattr(Query, "search_means", counting(Query.search_means))
-        monkeypatch.setattr(Query, "search_moments", counting(Query.search_moments))
+        monkeypatch.setattr(Query, "means", counting(Query.means))
+        monkeypatch.setattr(Query, "moments", counting(Query.moments))
         bounds = BoxBounds([0.0], [1.0])
         propose(parabola_model, InfillCriterion.PREDICTED_VALUE, bounds, 0.0, seed=2)
         assert counter["rows"] == 1000 * 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -210,13 +211,29 @@ class TestSerialization:
         cfg = RunConfig(1, 2, 1, InfillCriterion.RANDOM_SEARCH, total_budget=12, seed=3)
         first = write_run_log(run(cfg), tmp_path / "a").read_text()
         second = write_run_log(run(cfg), tmp_path / "b").read_text()
+        assert without_timing(first) == without_timing(second)
 
-        def strip_timing(text):
-            rows = [line.split(",") for line in text.splitlines()]
-            timing = rows[0].index("wall_time_ms")
-            return [row[:timing] + row[timing + 1:] for row in rows]
+    # sha256 of whole f3 d=2 run logs without their timing column, recorded
+    # on conftest.GOLDEN_HOST before smbo.run became one loop over evaluations.
+    GOLDEN_LOGS = {
+        "pm": "f0f5212f63e03f0983af23f87e889fc41ec9ab6d8b1252378d94f35d2e3d5858",
+        "ei": "98cfdda49ae02c2dddf94cc17c8f62b01b0349e01b95e45a8d2c9e3f0b7b3f0e",
+        "random": "1132e3eca9e15c89abd6d74daf079245f13eeae2f4a3cd533300261ea3ebb958",
+    }
 
-        assert strip_timing(first) == strip_timing(second)
+    @pytest.mark.parametrize("criterion", sorted(GOLDEN_LOGS))
+    def test_golden_run_log(self, criterion, tmp_path, golden_host):
+        cfg = RunConfig(3, 2, 1, InfillCriterion(criterion), total_budget=14,
+                        initial_design_size=10, seed=0, mle_evals_per_param=20)
+        text = without_timing(write_run_log(run(cfg), tmp_path).read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_LOGS[criterion]
+
+
+def without_timing(text):
+    """A run log's text with its wall_time_ms column, found by its header name, cut out."""
+    rows = [line.split(",") for line in text.splitlines()]
+    timing = rows[0].index("wall_time_ms")
+    return "".join(",".join(row[:timing] + row[timing + 1:]) + "\n" for row in rows)
 
 
 def rewrite_log(path, edit):
