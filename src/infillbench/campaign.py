@@ -4,10 +4,11 @@ A campaign is the grid functions x dimensions x instances x criteria; as in
 the BBOB setup, instances supply the replication, one run each. Each cell
 becomes one run with a seed derived from the campaign's base seed, one CSV
 log, and one manifest entry. Re-running skips, unless forced, each log that
-the previous manifest lists with the planned settings and that
-``smbo.read_run_log`` reads back; ``smbo`` alone knows the log and manifest
-formats. Runs execute on a process pool; the parent alone writes the
-manifest, through ``smbo.write_manifest``, as each run finishes.
+the previous manifest, parsed once by ``smbo.read_manifest``, lists with the
+planned settings and that parses back whole against that entry; ``smbo``
+alone knows the log and manifest formats. Runs execute in this process or on
+a process pool; the parent alone writes the manifest, through
+``smbo.write_manifest``, as each run finishes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .infill import InfillCriterion
-from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, read_manifest, read_run_log,
+from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, _parse_run_log, read_manifest,
                    run, run_log_filename, write_manifest, write_run_log)
 from .testbed import INSTANCE_IDS, UnknownFunction, list_suite
 
@@ -136,9 +137,9 @@ class CampaignResult:
     skipped: list[str] = field(default_factory=list)
 
 
-def _reads_back(path: Path) -> bool:
+def _reads_back(path: Path, run_config: RunConfig) -> bool:
     try:
-        read_run_log(path)
+        _parse_run_log(path, run_config)
     except MalformedRunLog:
         return False
     return True
@@ -149,58 +150,58 @@ def _execute_run(run_config: RunConfig, out_dir: Path) -> None:
     write_run_log(run(run_config), out_dir)
 
 
+def _finished_runs(pending: list[RunConfig], out_dir: Path, workers: int):
+    """Execute ``pending`` and yield each RunConfig once its log is written:
+    in plan order in this process, or as they complete on a pool of
+    ``workers`` processes."""
+    if workers > 1 and len(pending) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {pool.submit(_execute_run, run_config, out_dir): run_config
+                       for run_config in pending}
+            for future in as_completed(futures):
+                future.result()
+                yield futures[future]
+    else:
+        for run_config in pending:
+            _execute_run(run_config, out_dir)
+            yield run_config
+
+
 def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     """Execute a campaign, writing one CSV per run plus ``manifest.json``.
 
-    Existing logs are skipped unless ``force``, provided the previous manifest
-    records them with this campaign's run settings and they read back whole;
-    their entries are carried over from it. The manifest is rewritten as each
-    run finishes, so an interrupted campaign resumes where it stopped.
+    Unless ``force``, the previous manifest is read once, and each log it
+    records with this campaign's run settings that reads back whole against
+    that entry is kept, with its entry. The manifest is rewritten as each run
+    finishes, so an interrupted campaign resumes where it stopped.
     """
     plan = config.run_configs()  # invalid run settings fail before any I/O
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        previous = read_manifest(out_dir)
+        previous = {} if force else read_manifest(out_dir)
     except MalformedRunLog:  # a missing or unreadable manifest vouches for no log
         previous = {}
 
     settings = asdict(config)
     for name in _EXECUTION_ONLY:
         del settings[name]
-    by_file = {run_log_filename(run_config): run_config for run_config in plan}
-    # The runs this manifest vouches for: logs made with these settings that
-    # read back whole. A log being re-run loses its old entry before it starts.
-    recorded: dict[str, RunConfig] = {}
-
-    def write() -> None:
-        write_manifest(out_dir, settings, [recorded[name] for name in by_file if name in recorded])
-
+    # The runs this manifest vouches for, listed in plan order: logs made with
+    # these settings that read back whole. A log being re-run loses its old
+    # entry before it starts.
+    recorded: set[RunConfig] = set()
     pending: list[RunConfig] = []
     result = CampaignResult(manifest_path=out_dir / MANIFEST_NAME)
-    for filename, run_config in by_file.items():
-        if not force and previous.get(filename) == run_config and _reads_back(out_dir / filename):
+    for run_config in plan:
+        filename = run_log_filename(run_config)
+        if previous.get(filename) == run_config and _reads_back(out_dir / filename, run_config):
             result.skipped.append(filename)
-            recorded[filename] = run_config
+            recorded.add(run_config)
         else:
             pending.append(run_config)
-    write()
-
-    def finish(run_config: RunConfig) -> None:
-        filename = run_log_filename(run_config)
-        result.executed.append(filename)
-        recorded[filename] = run_config
-        write()
-
-    if config.workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(_execute_run, run_config, out_dir): run_config
-                       for run_config in pending}
-            for future in as_completed(futures):
-                future.result()
-                finish(futures[future])
-    else:
-        for run_config in pending:
-            _execute_run(run_config, out_dir)
-            finish(run_config)
+    write_manifest(out_dir, settings, [c for c in plan if c in recorded])
+    for run_config in _finished_runs(pending, out_dir, config.workers):
+        result.executed.append(run_log_filename(run_config))
+        recorded.add(run_config)
+        write_manifest(out_dir, settings, [c for c in plan if c in recorded])
     return result

@@ -334,7 +334,8 @@ class _FitWorkspace:
         self.capacity = capacity
         # Offsets of every member's lower triangle in the flat buffer, so a
         # chunk's scatter is one 1-D fancy assignment. Built first: numpy
-        # buffers the broadcast sum.
+        # buffers the broadcast sum. One member shares the geometry's offsets:
+        # a copy per thread would raise a large serial fit's peak memory.
         self.scatter = (
             geometry.lower_flat
             if capacity == 1

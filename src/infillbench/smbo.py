@@ -243,26 +243,21 @@ def _entry_settings(entry: dict) -> RunConfig:
     return config
 
 
-def _listed_settings(directory, only: Optional[str] = None) -> dict[str, RunConfig]:
-    """The settings of every run a directory's manifest lists, or of the one for file ``only``."""
+def read_manifest(directory) -> dict[str, RunConfig]:
+    """The runs a directory's manifest lists: log file name -> RunConfig.
+
+    The one place a manifest is parsed and checked. MalformedRunLog when the
+    directory has no manifest, it cannot be parsed, or any entry does not
+    record exactly its run settings.
+    """
     path = Path(directory) / MANIFEST_NAME
     try:
         runs = json.loads(path.read_text())["runs"]
-        return {entry["file"]: _entry_settings(entry) for entry in runs
-                if only is None or entry["file"] == only}
+        return {entry["file"]: _entry_settings(entry) for entry in runs}
     except FileNotFoundError as exc:
         raise MalformedRunLog(f"{path.parent} has no {MANIFEST_NAME}") from exc
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedRunLog(f"manifest {path} cannot be parsed: {exc!r}") from exc
-
-
-def read_manifest(directory) -> dict[str, RunConfig]:
-    """The runs a directory's manifest lists: log file name -> RunConfig.
-
-    MalformedRunLog when the directory has no manifest, it cannot be parsed,
-    or any entry does not record exactly its run settings.
-    """
-    return _listed_settings(directory)
 
 
 def write_manifest(directory, campaign_settings: dict, configs) -> None:
@@ -281,22 +276,16 @@ def _parse_value(text: str, name: str) -> Optional[float]:
     return value
 
 
-def read_run_log(path) -> RunLog:
-    """Parse a run CSV back into a RunLog, reading each row's fields by position.
+def _parse_run_log(path: Path, config: RunConfig) -> RunLog:
+    """Parse a run CSV that its manifest lists with ``config``, reading each
+    row's fields by position.
 
-    The RunConfig comes from the log's entry in the manifest beside it, and
-    only that entry is checked. MalformedRunLog when the directory has no
-    manifest, the manifest does not list the log, a listed log is missing, the
-    record count differs from the entry's ``total_budget``, the header is not
-    the one ``write_run_log`` writes for the entry's dimension, a row has
-    another number of fields, the iterations are not 1..n, a required field
-    is blank, or a number is cut short or not finite.
+    MalformedRunLog when the log is missing, its record count differs from
+    ``config.total_budget``, the header is not the one ``write_run_log``
+    writes for ``config.dimension``, a row has another number of fields, the
+    iterations are not 1..n, a required field is blank, or a number is cut
+    short or not finite.
     """
-    path = Path(path)
-    listed = _listed_settings(path.parent, only=path.name)
-    if path.name not in listed:
-        raise MalformedRunLog(f"run log {path} is not listed in its directory's {MANIFEST_NAME}")
-    config = listed[path.name]
     try:
         lines = path.read_text().strip().splitlines()
     except FileNotFoundError as exc:
@@ -323,9 +312,26 @@ def read_run_log(path) -> RunLog:
     return RunLog(config, tuple(records))
 
 
-def read_run_logs(directory) -> list[RunLog]:
-    """Every run log a directory's manifest lists, read by ``read_run_log`` in file-name order.
+def read_run_log(path) -> RunLog:
+    """Parse one run CSV back into a RunLog with the settings of its entry in
+    the manifest beside it.
 
-    The whole manifest is checked first; files it does not list are not read.
+    The whole manifest is checked by ``read_manifest``, as for a directory
+    read. MalformedRunLog also when it does not list the log, or when
+    ``_parse_run_log`` rejects the log.
     """
-    return [read_run_log(Path(directory) / name) for name in sorted(read_manifest(directory))]
+    path = Path(path)
+    listed = read_manifest(path.parent)
+    if path.name not in listed:
+        raise MalformedRunLog(f"run log {path} is not listed in its directory's {MANIFEST_NAME}")
+    return _parse_run_log(path, listed[path.name])
+
+
+def read_run_logs(directory) -> list[RunLog]:
+    """Every run log a directory's manifest lists, in file-name order.
+
+    The manifest is parsed and checked once, and each log against its entry;
+    files it does not list are not read.
+    """
+    listed = read_manifest(directory)
+    return [_parse_run_log(Path(directory) / name, listed[name]) for name in sorted(listed)]

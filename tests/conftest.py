@@ -1,11 +1,14 @@
 import ctypes
 import glob
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import infillbench.de as de
+from infillbench.kriging import solve_triangular
+from infillbench.smbo import MANIFEST_NAME
 
 
 def numeric_host():
@@ -50,6 +53,20 @@ GOLDEN_HOST = {
 }
 
 
+def unbuffered_moments(model, points):
+    """The means and variances of ``model`` at ``points`` by the query routine
+    every cached run log was made with: a broadcast difference, the kernel out
+    of place and solve_triangular on a copy of the correlations."""
+    params = model.params
+    with np.errstate(divide="ignore"):
+        terms = np.exp(np.log(np.abs(points[:, None, :] - model.data.X[None])) * params.power)
+    corr = np.exp(-(terms @ params.theta))
+    means = model.mu_hat + corr @ model.alpha
+    whitened = solve_triangular(model.chol, corr.T)
+    variances = model.sigma2_hat * (1.0 + params.nugget - (whitened * whitened).sum(axis=0))
+    return means, np.maximum(variances, 0.0)
+
+
 @pytest.fixture
 def golden_host():
     """Skip a test of recorded bits on any host other than GOLDEN_HOST, where
@@ -80,3 +97,17 @@ def search_rows(monkeypatch):
 
     monkeypatch.setattr(de, "minimize", counting)
     return counts
+
+
+@pytest.fixture
+def manifest_reads(monkeypatch):
+    """Every manifest file read through ``Path.read_text`` during the test, in order."""
+    reads, original = [], Path.read_text
+
+    def recording(self, *args, **kwargs):
+        if self.name == MANIFEST_NAME:
+            reads.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", recording)
+    return reads

@@ -149,6 +149,19 @@ class TestRunCommand:
         assert victim.read_text().count("\n") == text.count("\n")
         assert main(["analyze", str(tmp_path / "runs")]) == EXIT_OK
 
+    def test_rerun_parses_the_old_manifest_once_and_a_forced_run_not_at_all(
+        self, tmp_path, manifest_reads
+    ):
+        mapping = small_campaign(tmp_path, criteria=["random"], instances=[1, 2, 3], total_budget=12)
+        config = CampaignConfig(**mapping)
+        run_campaign(config)
+        manifest_reads.clear()
+        assert len(run_campaign(config).skipped) == 3
+        assert manifest_reads == [tmp_path / "runs" / "manifest.json"]
+        manifest_reads.clear()
+        assert len(run_campaign(config, force=True).executed) == 3
+        assert manifest_reads == []
+
     def test_force_reruns(self, tmp_path, capsys):
         config = write_config(tmp_path, small_campaign(tmp_path))
         main(["run", str(config)])

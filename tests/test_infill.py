@@ -12,9 +12,10 @@ from infillbench.kriging import (
     fit,
     model_at,
     predict_batch,
-    solve_triangular,
 )
 from infillbench.numerics import standard_normal_cdf, standard_normal_pdf
+
+from conftest import unbuffered_moments
 
 
 @pytest.fixture(scope="module")
@@ -142,20 +143,6 @@ class TestPropose:
         bounds = BoxBounds.cube(2)
         proposal = propose(None, InfillCriterion.RANDOM_SEARCH, bounds, 0.0, seed=3)
         assert bounds.contains(proposal)
-
-
-def unbuffered_moments(model, points):
-    """The query routine every cached run log was made with: a broadcast
-    difference, the kernel out of place and solve_triangular on a copy of the
-    correlations."""
-    params = model.params
-    with np.errstate(divide="ignore"):
-        terms = np.exp(np.log(np.abs(points[:, None, :] - model.data.X[None])) * params.power)
-    corr = np.exp(-(terms @ params.theta))
-    means = model.mu_hat + corr @ model.alpha
-    whitened = solve_triangular(model.chol, corr.T)
-    variances = model.sigma2_hat * (1.0 + params.nugget - (whitened * whitened).sum(axis=0))
-    return means, np.maximum(variances, 0.0)
 
 
 def reference_improvement(means, variances, y_best):

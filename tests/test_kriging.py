@@ -31,6 +31,8 @@ from infillbench.kriging import (
 from infillbench.numerics import flush_subnormals
 from infillbench.testbed import evaluate, make_instance
 
+from conftest import unbuffered_moments
+
 
 def closed_form_correlation(a, b, params):
     """The power-exponential kernel written out, independent of the code under test."""
@@ -563,20 +565,6 @@ class TestPredict:
                 predict_batch(model, np.zeros(shape))
         means, variances = predict_batch(model, np.zeros(3))  # one (d,) point is one row
         assert means.shape == variances.shape == (1,)
-
-
-def unbuffered_moments(model, points):
-    """predict_batch as written before the query workspace: a broadcast
-    difference, the kernel out of place and solve_triangular on a copy of the
-    correlations, the bits every cached run log was made with."""
-    params = model.params
-    with np.errstate(divide="ignore"):
-        terms = np.exp(np.log(np.abs(points[:, None, :] - model.data.X[None])) * params.power)
-    corr = np.exp(-(terms @ params.theta))
-    means = model.mu_hat + corr @ model.alpha
-    whitened = solve_triangular(model.chol, corr.T)
-    variances = model.sigma2_hat * (1.0 + params.nugget - (whitened * whitened).sum(axis=0))
-    return means, np.maximum(variances, 0.0)
 
 
 class TestQuery:

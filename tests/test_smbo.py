@@ -417,6 +417,19 @@ class TestReadRunLogs:
         with pytest.raises(MalformedRunLog):
             read_run_logs(campaign_dir)
 
+    def test_directory_read_parses_its_manifest_once(self, campaign_dir, manifest_reads):
+        assert len(read_run_logs(campaign_dir)) == 3
+        assert manifest_reads == [campaign_dir / MANIFEST_NAME]
+
+    def test_lone_read_rejects_a_manifest_with_any_entry_not_recording_its_settings(
+        self, campaign_dir
+    ):
+        # the entry of the log being read is intact; another one leaves a setting out
+        runs = json.loads((campaign_dir / MANIFEST_NAME).read_text())["runs"]
+        self.edit_manifest(campaign_dir, lambda edited: edited[1].pop("mle_evals_per_param"))
+        with pytest.raises(MalformedRunLog, match="does not record exactly its run settings"):
+            read_run_log(campaign_dir / runs[0]["file"])
+
     def test_unparsable_manifest_raises(self, campaign_dir):
         path = campaign_dir / MANIFEST_NAME
         path.write_text(path.read_text()[:-40])
