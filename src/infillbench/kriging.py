@@ -139,7 +139,7 @@ def _lapack() -> _Lapack:
 THETA_LOG10_BOUNDS = (-3.0, 2.0)
 POWER_BOUNDS = (0.01, 2.0)
 NUGGET_LOG10_BOUNDS = (-8.0, -4.0)
-NUGGET_MAX = 1.0e-4
+NUGGET_MAX = 10.0 ** NUGGET_LOG10_BOUNDS[1]
 SIGMA2_FLOOR = 1.0e-12
 PENALTY_NLL = 1.0e10
 DUPLICATE_TOL = 1.0e-12
@@ -223,8 +223,9 @@ class KrigingHyperparameters:
             raise ValueError("theta entries must be positive")
         if np.any(power < POWER_BOUNDS[0]) or np.any(power > POWER_BOUNDS[1]):
             raise ValueError(f"power entries must lie in {POWER_BOUNDS}")
-        if not 1e-8 <= self.nugget <= NUGGET_MAX:
-            raise ValueError(f"nugget must lie in [1e-08, {NUGGET_MAX}]")
+        nugget_min = 10.0 ** NUGGET_LOG10_BOUNDS[0]
+        if not nugget_min <= self.nugget <= NUGGET_MAX:
+            raise ValueError(f"nugget must lie in [{nugget_min}, {NUGGET_MAX}]")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "power", power)
 

@@ -53,6 +53,35 @@ GOLDEN_HOST = {
 }
 
 
+def dense_oracle(data, params):
+    """A Kriging model by explicit matrix inversion (no Cholesky anywhere), with
+    the power-exponential kernel written out: independent of the code under
+    test. Returns the correlation matrix with its nugget, the negative
+    log-likelihood, and a function of one point giving the predictive mean
+    and variance there."""
+
+    def correlation(a, b):
+        return np.exp(-(params.theta * np.abs(a - b) ** params.power).sum())
+
+    n = data.n
+    k = np.array([[correlation(data.X[i], data.X[j]) for j in range(n)] for i in range(n)])
+    c = k + params.nugget * np.eye(n)
+    c_inv = np.linalg.inv(c)
+    ones = np.ones(n)
+    mu = float(ones @ c_inv @ data.y) / float(ones @ c_inv @ ones)
+    residual = data.y - mu
+    sigma2 = max(float(residual @ c_inv @ residual) / n, 1e-12)
+    nll = 0.5 * n * np.log(sigma2) + 0.5 * np.linalg.slogdet(c)[1]
+
+    def predict(x):
+        kvec = np.array([correlation(x, data.X[i]) for i in range(n)])
+        mean = mu + kvec @ c_inv @ residual
+        variance = sigma2 * (1.0 + params.nugget - kvec @ c_inv @ kvec)
+        return mean, max(variance, 0.0)
+
+    return c, nll, predict
+
+
 def unbuffered_moments(model, points):
     """The means and variances of ``model`` at ``points`` by the query routine
     every cached run log was made with: a broadcast difference, the kernel out

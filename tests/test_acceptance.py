@@ -34,6 +34,8 @@ from infillbench.kriging import (
 from infillbench.smbo import RunConfig, read_run_logs, run
 from infillbench.testbed import list_suite
 
+from conftest import dense_oracle
+
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
 BASE_SEED = 1
 
@@ -99,29 +101,6 @@ def test_criterion_1_expected_improvement_monte_carlo():
 # ---------------------------------------------------------------------------
 
 
-def dense_oracle(data, params):
-    def correlation(a, b):  # the kernel written out, independent of the code under test
-        return np.exp(-(params.theta * np.abs(a - b) ** params.power).sum())
-
-    n = data.n
-    k = np.array([[correlation(data.X[i], data.X[j]) for j in range(n)] for i in range(n)])
-    c = k + params.nugget * np.eye(n)
-    c_inv = np.linalg.inv(c)
-    ones = np.ones(n)
-    mu = float(ones @ c_inv @ data.y) / float(ones @ c_inv @ ones)
-    residual = data.y - mu
-    sigma2 = max(float(residual @ c_inv @ residual) / n, 1e-12)
-    nll = 0.5 * n * np.log(sigma2) + 0.5 * np.linalg.slogdet(c)[1]
-
-    def predict_ref(x):
-        kvec = np.array([correlation(x, data.X[i]) for i in range(n)])
-        mean = mu + kvec @ c_inv @ residual
-        variance = sigma2 * (1.0 + params.nugget - kvec @ c_inv @ kvec)
-        return mean, max(variance, 0.0)
-
-    return nll, predict_ref
-
-
 def test_criterion_2_kriging_dense_inverse_oracle():
     worst_nll = worst_pred = worst_interp = 0.0
     for case in range(50):
@@ -142,7 +121,7 @@ def test_criterion_2_kriging_dense_inverse_oracle():
             nugget=float(10.0 ** rng.uniform(-6.0, -4.0)),
         )
 
-        nll_ref, predict_ref = dense_oracle(data, params)
+        _, nll_ref, predict_ref = dense_oracle(data, params)
         model = model_at(data, params)
         worst_nll = max(worst_nll, abs(model.neg_log_likelihood - nll_ref))
         assert worst_nll <= 1e-8

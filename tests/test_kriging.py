@@ -31,36 +31,7 @@ from infillbench.kriging import (
 from infillbench.numerics import flush_subnormals
 from infillbench.testbed import evaluate, make_instance
 
-from conftest import unbuffered_moments
-
-
-def closed_form_correlation(a, b, params):
-    """The power-exponential kernel written out, independent of the code under test."""
-    return np.exp(-(params.theta * np.abs(a - b) ** params.power).sum())
-
-
-def dense_reference(data, params):
-    """Likelihood pieces via explicit matrix inversion (no Cholesky anywhere)."""
-    n = data.n
-    k = np.array(
-        [[closed_form_correlation(data.X[i], data.X[j], params) for j in range(n)]
-         for i in range(n)]
-    )
-    c = k + params.nugget * np.eye(n)
-    c_inv = np.linalg.inv(c)
-    ones = np.ones(n)
-    mu = float(ones @ c_inv @ data.y) / float(ones @ c_inv @ ones)
-    residual = data.y - mu
-    sigma2 = max(float(residual @ c_inv @ residual) / n, 1e-12)
-    nll = 0.5 * n * np.log(sigma2) + 0.5 * np.linalg.slogdet(c)[1]
-    return k, c_inv, mu, sigma2, nll
-
-
-def dense_predict(data, params, x, k_matrix, c_inv, mu, sigma2):
-    kvec = np.array([closed_form_correlation(x, data.X[i], params) for i in range(data.n)])
-    mean = mu + kvec @ c_inv @ (data.y - mu)
-    variance = sigma2 * (1.0 + params.nugget - kvec @ c_inv @ kvec)
-    return mean, max(variance, 0.0)
+from conftest import dense_oracle, unbuffered_moments
 
 
 def random_params(rng, d):
@@ -100,6 +71,9 @@ def fit_recording_threads(data):
         threads.add(threading.get_ident())
         return original()
 
+    # One small fit first, so loads a process makes on its first fit (such as
+    # the LAPACK binding) fall outside the trace, whatever ran before.
+    fit(f13_dataset(2, 12), seed=3, evals_per_param=2)
     was_tracing = tracemalloc.is_tracing()
     kriging.flush_subnormals = recording
     tracemalloc.start()
@@ -207,7 +181,7 @@ class TestNegativeLogLikelihood:
         rng = np.random.default_rng(8)
         data = smooth_dataset(rng, 5, 1)
         params = random_params(rng, 1)
-        _, _, _, _, nll_ref = dense_reference(data, params)
+        _, nll_ref, _ = dense_oracle(data, params)
         assert abs(model_at(data, params).neg_log_likelihood - nll_ref) <= 1e-8
 
     def test_bit_identical_with_subnormals_flushed(self):
@@ -288,12 +262,7 @@ class TestFit:
         rng = np.random.default_rng(10)
         data = smooth_dataset(rng, 7, 2)
         model = fit(data, seed=3)
-        n = data.n
-        k = np.array(
-            [[closed_form_correlation(data.X[i], data.X[j], model.params) for j in range(n)]
-             for i in range(n)]
-        )
-        target = k + model.params.nugget * np.eye(n)
+        target, _, _ = dense_oracle(data, model.params)
         assert np.abs(model.chol @ model.chol.T - target).max() <= 1e-8
 
 
@@ -307,11 +276,6 @@ def chunk_vectors(d, n):
     m, tile = n * (n - 1) // 2, -(-128 // d)
     padded = -(-m // tile) * tile
     return max(1, LIKELIHOOD_CHUNK_BYTES // (8 * ((padded + tile) * d + 2 * m + n * (n + 5))))
-
-
-def search_population(d):
-    """Vectors in one generation of a likelihood search over 2d + 1 parameters."""
-    return min(10 * (2 * d + 1), 50)
 
 
 class TestSearchValues:
@@ -346,7 +310,7 @@ class TestSearchValues:
         "regime, d, n", [(regime, d, n) for regime, cases in CASES.items() for d, n in cases]
     )
     def test_values_match_model_at(self, monkeypatch, regime, d, n):
-        per_chunk, population = chunk_vectors(d, n), search_population(d)
+        per_chunk, population = chunk_vectors(d, n), de.population_size(2 * d + 1)
         assert {
             "several_chunks": 1 < per_chunk < population,
             "one_chunk": per_chunk >= population,
@@ -453,7 +417,7 @@ class TestThreadedFit:
         # getbufsize() elements for each operand of the kernel's broadcast
         # product.
         n, d = 39, 2
-        population = search_population(d)
+        population = de.population_size(2 * d + 1)
         assert 1 < chunk_vectors(d, n) < population
         _, threads, peak = fit_recording_threads(f13_dataset(d, n))
         assert len(threads) == 1
@@ -495,12 +459,12 @@ class TestPredict:
         rng = np.random.default_rng(13)
         data = smooth_dataset(rng, 4, 2)
         params = random_params(rng, 2)
-        k, c_inv, mu, sigma2, _ = dense_reference(data, params)
+        _, _, predict_ref = dense_oracle(data, params)
         model = model_at(data, params)
         queries = np.random.default_rng(14).uniform(-3.0, 3.0, (20, 2))
         means, variances = predict_batch(model, queries)
         for x, mean, variance in zip(queries, means, variances):
-            mean_ref, var_ref = dense_predict(data, params, x, k, c_inv, mu, sigma2)
+            mean_ref, var_ref = predict_ref(x)
             assert abs(mean - mean_ref) <= 1e-8
             assert abs(variance - var_ref) <= 1e-8
 
