@@ -508,19 +508,23 @@ def fit(data: Dataset, seed: int, evals_per_param: int = LIKELIHOOD_EVALS_PER_PA
     workspaces = [_FitWorkspace(geometry, capacity) for _ in range(_fit_threads(data.n))]
 
     def slice_values(ws: _FitWorkspace, vectors: np.ndarray) -> np.ndarray:
-        with flush_subnormals():  # MXCSR is per thread, so each slice sets it
-            return _likelihoods(ws, *_decode(vectors, d)).nll
+        return _likelihoods(ws, *_decode(vectors, d)).nll
+
+    def pool_slice_values(ws: _FitWorkspace, vectors: np.ndarray) -> np.ndarray:
+        with flush_subnormals():  # MXCSR is per thread, so each pool slice sets it
+            return slice_values(ws, vectors)
 
     # An executor starts no thread before its first submit, so a one-thread
-    # fit starts none.
-    with ThreadPoolExecutor(max_workers=max(len(workspaces) - 1, 1)) as pool:
+    # fit starts none. The calling thread enters flush_subnormals once, for the
+    # whole search: its bookkeeping stays in [-8, 2] and never meets a subnormal.
+    with ThreadPoolExecutor(max_workers=max(len(workspaces) - 1, 1)) as pool, flush_subnormals():
 
         def objective(vectors: np.ndarray) -> np.ndarray:
             # Contiguous slices, none empty; the calling thread takes the first.
             parts = min(len(workspaces), len(vectors))
             ends = [len(vectors) * k // parts for k in range(parts + 1)]
             slices = [vectors[start:end] for start, end in zip(ends, ends[1:])]
-            futures = [pool.submit(slice_values, *job) for job in zip(workspaces[1:], slices[1:])]
+            futures = [pool.submit(pool_slice_values, *job) for job in zip(workspaces[1:], slices[1:])]
             first = slice_values(workspaces[0], slices[0])
             return np.concatenate([first, *(future.result() for future in futures)])
 

@@ -394,6 +394,24 @@ class TestThreadedFit:
         _, threads, _ = fit_recording_threads(data)
         assert len(threads) == 1
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_calling_thread_enters_flush_subnormals_once_per_fit(self, monkeypatch, cpus):
+        # MXCSR is per thread: the calling thread sets it once, around the
+        # whole search, and a pool thread sets it for each slice it takes.
+        original, entries = kriging.flush_subnormals, []
+
+        def counting():
+            entries.append(threading.get_ident())
+            return original()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(kriging, "flush_subnormals", counting)
+        # Three generations of 50: the initial population and two more.
+        fit(f13_dataset(2, THREADED_FIT_MIN_POINTS), seed=3, evals_per_param=30)
+        assert entries.count(threading.get_ident()) == 1
+        assert len(set(entries)) == cpus
+        assert len(entries) == 1 + 3 * (cpus - 1)
+
     def test_peak_memory_is_geometry_plus_one_buffer_set_per_thread(self, threaded_and_serial_fits):
         # A fit's peak: the pairwise geometry, (m, d) log-distances and the (m,)
         # scatter index of its m pairs, shared by every thread; per thread, the

@@ -6,9 +6,12 @@ and ``module._name`` where ``module`` was bound by an infillbench import.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import infillbench
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -64,3 +67,28 @@ def test_scanner_flags_private_names():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_uses_public_api_only(path):
     assert private_uses(path.read_text()) == []
+
+
+# The package namespace: each name in __all__ resolves, on first use, to the
+# object its module defines.
+
+
+@pytest.mark.parametrize("name", infillbench.__all__)
+def test_public_name_is_its_modules_object(name):
+    value = getattr(infillbench, name)
+    module = importlib.import_module(value.__module__)
+    assert module.__name__.startswith("infillbench.")
+    assert getattr(module, name) is value
+
+
+def test_public_names_are_listed_and_star_imported():
+    assert set(infillbench.__all__) <= set(dir(infillbench))
+    namespace = {}
+    exec("from infillbench import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(infillbench.__all__)
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        infillbench.no_such_name  # noqa: B018

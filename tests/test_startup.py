@@ -1,8 +1,10 @@
-"""scipy loads on first use, and only the two compiled modules the surrogate
-calls: importing infillbench, listing the suite and giving advice load none
-of it; a fit and an EI proposal load neither the ``scipy.linalg`` nor the
-``scipy.special`` package, and give the bits they give with both imported
-beforehand; a later import of either package still works and agrees.
+"""Modules load on first use. ``import infillbench`` loads no submodule and
+no numpy, and a public name loads only the modules it needs. scipy loads only
+the two compiled modules the surrogate calls: importing infillbench, listing
+the suite and giving advice load none of it; a fit and an EI proposal load
+neither the ``scipy.linalg`` nor the ``scipy.special`` package, and give the
+bits they give with both imported beforehand; a later import of either
+package still works and agrees.
 
 Each check runs in a fresh interpreter, because this one has scipy loaded.
 """
@@ -30,6 +32,24 @@ def run_fresh(code: str) -> str:
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+INFILLBENCH_MODULES = "sorted(m for m in sys.modules if m.startswith('infillbench.'))"
+
+
+def test_import_loads_no_submodule_and_instances_load_only_theirs():
+    code = (
+        "import json, sys\n"
+        "import infillbench\n"
+        f"bare = [{INFILLBENCH_MODULES}, 'numpy' in sys.modules]\n"
+        "infillbench.make_instance(3, 2, 1)\n"
+        f"print(json.dumps(bare + [{INFILLBENCH_MODULES}]))\n"
+    )
+    assert json.loads(run_fresh(code)) == [[], False, ["infillbench.design", "infillbench.testbed"]]
+
+
+def test_fit_loads_only_the_kriging_chain():
+    code = f"import sys\nfrom infillbench import fit\nprint({INFILLBENCH_MODULES})\n"
+    expected = ["infillbench.de", "infillbench.design", "infillbench.kriging", "infillbench.numerics"]
+    assert run_fresh(code) == repr(expected)
 
 
 def test_import_list_and_recommend_load_no_scipy():
