@@ -361,8 +361,8 @@ def format_domination_summary(cells: Sequence[DominationCell]) -> str:
         pm_wins = sorted(c.function_id for c in finals if c.winner == "pm")
         lines.append(
             f"d={dimension} at {final_checkpoint} evaluations: "
-            f"ei better on {len(ei_wins)} function(s) {ei_wins or ''}, "
-            f"pm better on {len(pm_wins)} function(s) {pm_wins or ''}, "
+            f"ei better on {len(ei_wins)} function(s){f' {ei_wins}' if ei_wins else ''}, "
+            f"pm better on {len(pm_wins)} function(s){f' {pm_wins}' if pm_wins else ''}, "
             f"no significant difference on {len(finals) - len(ei_wins) - len(pm_wins)}"
         )
     return "\n".join(lines)

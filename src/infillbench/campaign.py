@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .infill import InfillCriterion
 from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, _parse_run_log, read_manifest,
                    run, run_log_filename, write_manifest, write_run_log)
-from .testbed import INSTANCE_IDS, UnknownFunction, list_suite
+from .testbed import INSTANCE_IDS
 
 # Stable per-criterion codes for seed derivation; never reorder.
 _CRITERION_CODES = {
@@ -52,42 +52,35 @@ class CampaignConfig:
     mle_evals_per_param: int = RunConfig.mle_evals_per_param
 
     def __post_init__(self):
-        object.__setattr__(self, "functions", tuple(int(f) for f in self.functions))
-        object.__setattr__(self, "dimensions", tuple(int(d) for d in self.dimensions))
-        object.__setattr__(self, "instances", tuple(int(i) for i in self.instances))
-        object.__setattr__(
-            self, "criteria", tuple(InfillCriterion(c) for c in self.criteria)
-        )
+        # Each run setting, and the grid's membership in the suite, is checked
+        # by RunConfig as the plan is built; this checks only what runs do not hold.
+        object.__setattr__(self, "criteria", tuple(InfillCriterion(c) for c in self.criteria))
         for name in ("functions", "dimensions", "instances", "criteria"):
-            values = getattr(self, name)
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             if not values:
                 raise ConfigParseError(f"{name} must be non-empty")
             # A repeated value would plan two runs with one seed and one log file.
             if len(set(values)) < len(values):
                 raise ConfigParseError(f"{name} must not repeat a value")
-        if self.workers < 1:
-            raise ConfigParseError("workers must be positive")
-        known = {entry.function_id for entry in list_suite()}
-        unknown = sorted(set(self.functions) - known)
-        if unknown:
-            raise UnknownFunction(f"function ids {unknown} not in suite {sorted(known)}")
+        if type(self.workers) is not int or self.workers < 1:
+            raise ConfigParseError("workers must be a positive integer")
+        if type(self.base_seed) is not int or self.base_seed < 0:
+            raise ConfigParseError("base_seed must be a non-negative integer")
+        if not isinstance(self.output_dir, str):
+            raise ConfigParseError("output_dir must be a string")
+        self.run_configs()
 
     def run_configs(self) -> list[RunConfig]:
-        return [
-            RunConfig(
-                function_id=function_id,
-                dimension=dimension,
-                instance_id=instance_id,
-                infill=criterion,
-                total_budget=self.total_budget,
-                initial_design_size=self.initial_design_size,
-                seed=derive_run_seed(self.base_seed, function_id, dimension, instance_id, criterion),
-                mle_evals_per_param=self.mle_evals_per_param,
-            )
-            for function_id, dimension, instance_id, criterion in itertools.product(
-                self.functions, self.dimensions, self.instances, self.criteria
-            )
-        ]
+        plan = []
+        for cell in itertools.product(self.functions, self.dimensions, self.instances, self.criteria):
+            # RunConfig checks the cell before its seed is derived from it, so a
+            # bad grid value is named as such rather than as a bad seed.
+            unseeded = RunConfig(*cell, total_budget=self.total_budget,
+                                 initial_design_size=self.initial_design_size,
+                                 mle_evals_per_param=self.mle_evals_per_param)
+            plan.append(replace(unseeded, seed=derive_run_seed(self.base_seed, *cell)))
+        return plan
 
 
 # Settings that change how a campaign executes, never what its runs produce;
@@ -175,7 +168,7 @@ def run_campaign(config: CampaignConfig, force: bool = False) -> CampaignResult:
     that entry is kept, with its entry. The manifest is rewritten as each run
     finishes, so an interrupted campaign resumes where it stopped.
     """
-    plan = config.run_configs()  # invalid run settings fail before any I/O
+    plan = config.run_configs()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -54,6 +54,7 @@ def _build_parser() -> _Parser:
 
     p_list = sub.add_parser("list", help="print the benchmark suite")
     p_list.add_argument("--output", help="also write the suite manifest as JSON")
+    p_list.set_defaults(handler=_cmd_list)
 
     p_run = sub.add_parser("run", help="execute a campaign from a JSON config")
     p_run.add_argument("config", help="path to the campaign JSON file")
@@ -61,11 +62,13 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--output-dir", help="override the config's output directory")
     p_run.add_argument("--workers", type=int, help="override the worker count")
     p_run.add_argument("--base-seed", type=int, help="override the base seed")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_analyze = sub.add_parser("analyze", help="compare criteria over a log directory")
     p_analyze.add_argument("log_dir", help="directory of run CSVs")
     p_analyze.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
     p_analyze.add_argument("--output-dir", help="where to write the CSVs (default: log_dir)")
+    p_analyze.set_defaults(handler=_cmd_analyze)
 
     p_rec = sub.add_parser("recommend", help="suggest an infill criterion")
     p_rec.add_argument("-d", "--dimension", type=int, required=True)
@@ -73,6 +76,7 @@ def _build_parser() -> _Parser:
     p_rec.add_argument(
         "--modality", choices=["unimodal", "multimodal", "unknown"], default="unknown"
     )
+    p_rec.set_defaults(handler=_cmd_recommend)
     return parser
 
 
@@ -129,13 +133,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        return _cmd_recommend(args)
+        return args.handler(args)
     except (UnknownFunction, OutOfBounds, DegenerateData, InsufficientRuns, EmptySample, MalformedRunLog) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

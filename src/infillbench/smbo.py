@@ -29,7 +29,7 @@ import numpy as np
 from .design import latin_hypercube
 from .infill import InfillCriterion, propose
 from .kriging import LIKELIHOOD_EVALS_PER_PARAM, Dataset, fit
-from .testbed import check_instance, evaluate, make_instance
+from .testbed import UnknownFunction, check_instance, evaluate, make_instance
 
 _STREAM_DESIGN = 0
 _STREAM_FIT = 1
@@ -66,7 +66,11 @@ class RunConfig:
     mle_evals_per_param: int = LIKELIHOOD_EVALS_PER_PARAM
 
     def __post_init__(self):
-        check_instance(self.dimension, self.instance_id)
+        for name in _INTEGER_SETTINGS:
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool, float or string is rejected, never converted
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        check_instance(self.function_id, self.dimension, self.instance_id)
         if not 1 <= self.initial_design_size < self.total_budget:
             raise ValueError("initial design must be smaller than the total budget")
         if self.seed < 0:
@@ -75,6 +79,9 @@ class RunConfig:
             raise ValueError("mle_evals_per_param must be positive")
         if not isinstance(self.infill, InfillCriterion):
             object.__setattr__(self, "infill", InfillCriterion(self.infill))
+
+
+_INTEGER_SETTINGS = tuple(name for name, hint in get_type_hints(RunConfig).items() if hint is int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +263,7 @@ def read_manifest(directory) -> dict[str, RunConfig]:
         return {entry["file"]: _entry_settings(entry) for entry in runs}
     except FileNotFoundError as exc:
         raise MalformedRunLog(f"{path.parent} has no {MANIFEST_NAME}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, UnknownFunction) as exc:  # JSONDecodeError is a ValueError
         raise MalformedRunLog(f"manifest {path} cannot be parsed: {exc!r}") from exc
 
 

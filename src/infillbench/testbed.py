@@ -141,14 +141,6 @@ def list_suite() -> tuple[SuiteEntry, ...]:
     return _SUITE
 
 
-def _suite_entry(function_id: int) -> SuiteEntry:
-    try:
-        return _BY_ID[function_id]
-    except KeyError:
-        known = sorted(_BY_ID)
-        raise UnknownFunction(f"function id {function_id} not in suite {known}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class TestFunction:
     """One concrete instance: a landscape class plus its shift/rotation/offset."""
@@ -182,8 +174,11 @@ def _random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
             return q
 
 
-def check_instance(dimension: int, instance_id: int) -> None:
-    """ValueError unless every suite function has an instance at (dimension, instance_id)."""
+def check_instance(function_id: int, dimension: int, instance_id: int) -> None:
+    """UnknownFunction unless ``function_id`` is in the suite; ValueError unless
+    it has an instance at (dimension, instance_id)."""
+    if function_id not in _BY_ID:
+        raise UnknownFunction(f"function id {function_id} not in suite {sorted(_BY_ID)}")
     if dimension < 2:
         raise ValueError("instances require dimension >= 2")
     if instance_id not in INSTANCE_IDS:
@@ -196,8 +191,8 @@ def make_instance(function_id: int, dimension: int, instance_id: int) -> TestFun
     The shift, rotation, and value offset are drawn from a generator seeded by
     (function_id, dimension, instance_id), so repeat calls agree exactly.
     """
-    entry = _suite_entry(function_id)
-    check_instance(dimension, instance_id)
+    check_instance(function_id, dimension, instance_id)
+    entry = _BY_ID[function_id]
     rng = np.random.default_rng(
         np.random.SeedSequence((function_id, dimension, instance_id))
     )

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from infillbench.analysis import (
+    DominationCell,
     EmptySample,
     InsufficientRuns,
     checkpoint_grid,
@@ -269,6 +270,14 @@ class TestDominationMatrix:
         logs += [synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 1.0, s) for s in range(3)]
         summary = format_domination_summary(domination_matrix(logs))
         assert "d=2" in summary
+
+    def test_summary_lists_ids_only_for_a_side_that_wins(self):
+        cells = [DominationCell(13, 10, 150, "pm", 0.01), DominationCell(3, 10, 150, "none", 0.5),
+                 DominationCell(13, 10, 100, "ei", 0.01)]
+        assert format_domination_summary(cells) == (
+            "d=10 at 150 evaluations: ei better on 0 function(s), "
+            "pm better on 1 function(s) [13], no significant difference on 1"
+        )
 
 
 class TestQuartileCurves:

@@ -52,6 +52,15 @@ class TestCampaignConfig:
             with pytest.raises(ConfigParseError, match=key):
                 load_campaign_config(write_config(tmp_path, small_campaign(tmp_path, **{key: 1})))
 
+    @pytest.mark.parametrize("grid, setting", [
+        ({"functions": [3.7]}, "function_id"),
+        ({"dimensions": ["2"]}, "dimension"),
+        ({"instances": [True]}, "instance_id"),
+    ])
+    def test_grid_value_that_is_not_an_integer_is_named(self, tmp_path, grid, setting):
+        with pytest.raises(ConfigParseError, match=f"{setting} must be an integer"):
+            load_campaign_config(write_config(tmp_path, small_campaign(tmp_path, **grid)))
+
     def test_seed_derivation_is_stable_and_distinct(self):
         seed = derive_run_seed(7, 3, 2, 1, InfillCriterion.EXPECTED_IMPROVEMENT)
         again = derive_run_seed(7, 3, 2, 1, InfillCriterion.EXPECTED_IMPROVEMENT)
@@ -187,18 +196,37 @@ class TestRunCommand:
         assert main(["run", str(config), "--workers", "0"]) == EXIT_CONFIG
         assert not (tmp_path / "runs").exists()
 
-    def test_budget_below_design_is_config_error_before_any_io(self, tmp_path):
+    def test_budget_below_design_is_config_error_before_any_io(self, tmp_path, capsys):
         out_dir = tmp_path / "X"
         cases = [
             {"total_budget": 5},
             {"instances": [1, 16]},  # instance ids run 1..15
             {"instances": []},
             {"dimensions": [2, 1]},  # instances need d >= 2
+            # integer settings must be JSON integers, never coerced
+            {"total_budget": 40.5},
+            {"initial_design_size": True},
+            {"mle_evals_per_param": 2.5},
+            {"total_budget": "abc"},
+            {"base_seed": 1.5},
+            {"functions": [3.7]},
+            {"dimensions": ["2"]},
+            {"instances": [True]},
         ]
         for overrides in cases:
             config = write_config(tmp_path, small_campaign(tmp_path, **overrides))
             assert main(["run", str(config), "--output-dir", str(out_dir)]) == EXIT_CONFIG
+            assert "configuration error" in capsys.readouterr().err, overrides
             assert not out_dir.exists(), overrides
+
+    def test_output_dir_not_a_string_is_config_error_before_any_io(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, small_campaign(tmp_path, output_dir=5))
+        assert main(["run", str(config)]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_repeated_grid_value_is_config_error_before_any_io(self, tmp_path, capsys):
         out_dir = tmp_path / "X"

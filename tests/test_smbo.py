@@ -27,6 +27,7 @@ from infillbench.smbo import (
     write_run_log,
     write_text_atomic,
 )
+from infillbench.testbed import UnknownFunction
 
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
 
@@ -82,6 +83,16 @@ class TestRunConfig:
     def test_criterion_coerced_from_string(self):
         cfg = RunConfig(1, 2, 1, "ei", total_budget=12)
         assert cfg.infill is InfillCriterion.EXPECTED_IMPROVEMENT
+
+    def test_unknown_function_rejected_at_construction(self):
+        with pytest.raises(UnknownFunction, match="function id 4"):
+            RunConfig(4, 2, 1, "ei", total_budget=12)
+
+    @pytest.mark.parametrize("setting", ["total_budget", "seed"])
+    @pytest.mark.parametrize("value", [12.0, 12.5, True, "12"])
+    def test_integer_setting_must_be_an_int(self, setting, value):
+        with pytest.raises(ValueError, match=f"{setting} must be an integer"):
+            RunConfig(1, 2, 1, "ei", **{setting: value})
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +424,16 @@ class TestReadRunLogs:
     ], ids=["no_mle_evals_per_param", "no_initial_design_size", "no_seed", "unknown_key",
             "retired_degenerate_fallback"])
     def test_entry_not_recording_exactly_its_settings_raises(self, campaign_dir, edit):
+        self.edit_manifest(campaign_dir, lambda runs: edit(runs[0]))
+        with pytest.raises(MalformedRunLog):
+            read_run_logs(campaign_dir)
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry: entry.update(function_id=4),
+        # 12.0 == 12, so only the type check tells this entry from the one written
+        lambda entry: entry.update(total_budget=float(entry["total_budget"])),
+    ], ids=["unknown_function", "float_budget"])
+    def test_entry_no_run_config_can_hold_raises(self, campaign_dir, edit):
         self.edit_manifest(campaign_dir, lambda runs: edit(runs[0]))
         with pytest.raises(MalformedRunLog):
             read_run_logs(campaign_dir)
