@@ -175,9 +175,10 @@ def run(config: RunConfig) -> RunLog:
 # ---------------------------------------------------------------------------
 # Run log serialization: one CSV per run, floats at 17 significant digits so
 # values round-trip exactly. Columns: iteration, x_1..x_d, then the other
-# IterationRecord fields in order; Optional ones may be empty. The file name
-# encodes the run coordinates for people; a log's settings are read only from
-# the entry for its file in the manifest beside it, never from the name.
+# IterationRecord fields in order; Optional ones may be empty, nn_distance
+# in row 1 and only there. The file name encodes the run coordinates for
+# people; a log's settings are read only from the entry for its file in the
+# manifest beside it, never from the name.
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
@@ -274,7 +275,11 @@ def write_manifest(directory, campaign_settings: dict, configs) -> None:
     write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_value(text: str, name: str) -> Optional[float]:
+def _parse_value(text: str, name: str, iteration: int) -> Optional[float]:
+    # The writer leaves nn_distance blank where there is no earlier point.
+    if name == "nn_distance" and (iteration == 1) != (not text):
+        raise ValueError(f"nn_distance is {text or 'blank'} in row {iteration}; "
+                         "it is blank in row 1 and only there")
     if not text and name in _BLANK_ALLOWED:
         return None
     value = float(text)
@@ -290,8 +295,9 @@ def _parse_run_log(path: Path, config: RunConfig) -> RunLog:
     MalformedRunLog when the log is missing, its record count differs from
     ``config.total_budget``, the header is not the one ``write_run_log``
     writes for ``config.dimension``, a row has another number of fields, the
-    iterations are not 1..n, a required field is blank, or a number is cut
-    short or not finite.
+    iterations are not 1..n, a required field is blank, ``nn_distance`` is
+    blank other than in row 1 or filled there, or a number is cut short or
+    not finite.
     """
     try:
         lines = path.read_text().strip().splitlines()
@@ -312,7 +318,7 @@ def _parse_run_log(path: Path, config: RunConfig) -> RunLog:
         try:
             if int(parts[0]) != k:
                 raise ValueError(f"row {k} is numbered {parts[0]}")
-            values = [_parse_value(text, name) for name, text in zip(columns[1:], parts[1:])]
+            values = [_parse_value(text, name, k) for name, text in zip(columns[1:], parts[1:])]
             records.append(IterationRecord(k, np.array(values[:d]), *values[d:]))
         except ValueError as exc:  # a blank required field, or a number cut short or not finite
             raise MalformedRunLog(f"run log {path}: {exc}") from exc

@@ -1,17 +1,16 @@
 """Acceptance suite: one test per criterion, each printing its own verdict line.
 
-Criteria 1-5 are fast deterministic property checks. Criteria 6-9 replay the
-benchmark study at desk scale (budget 150, 10-15 runs per criterion) and take
-on the order of an hour single-core; criterion 11 checks the criterion advice
-against the same campaigns. Their outputs land in
-``.acceptance_cache/`` at the repository root; re-runs reuse completed logs,
-so a second invocation of this module is cheap. Delete the cache directory to
-force full recomputation.
+Criteria 1-5 are fast deterministic property checks. Criteria 6-9 check the
+benchmark study's trends at desk scale (budget 100-150, 10-15 runs per
+criterion), and criterion 11 checks the criterion advice, on the committed
+logs of three campaigns: ``campaigns/acceptance_<study>.json``, cached in
+``.acceptance_cache/<study>``. This module runs no campaign. A cache that does
+not hold exactly its campaign's runs fails, naming the one command that
+regenerates it (roughly two hours single-core for all three).
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import os
 from itertools import combinations
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import pytest
 
 import infillbench.smbo as smbo_module
 from infillbench.analysis import domination_matrix, recommend_criterion, wilcoxon_rank_sum
-from infillbench.campaign import CampaignConfig, run_campaign
+from infillbench.campaign import load_campaign_config
 from infillbench.design import BoxBounds, latin_hypercube
 from infillbench.infill import InfillCriterion, improvement_from_moments
 from infillbench.kriging import (
@@ -31,28 +30,44 @@ from infillbench.kriging import (
     model_at,
     predict_batch,
 )
-from infillbench.smbo import RunConfig, read_run_logs, run
+from infillbench.smbo import (
+    MalformedRunLog,
+    RunConfig,
+    read_manifest,
+    read_run_logs,
+    run,
+    run_log_filename,
+)
 from infillbench.testbed import list_suite
 
 from conftest import dense_oracle
 
-CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
-BASE_SEED = 1
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def report(criterion, passed, detail):
     print(f"\ncriterion {criterion}: {'PASS' if passed else 'FAIL'} -- {detail}")
 
 
-def cached_campaign(name, **kwargs):
-    config = CampaignConfig(
-        base_seed=BASE_SEED,
-        workers=os.cpu_count() or 1,
-        output_dir=str(CACHE_DIR / name),
-        **kwargs,
-    )
-    run_campaign(config)  # completed logs are reused
-    return read_run_logs(CACHE_DIR / name)
+def committed_study(name):
+    """The logs of ``campaigns/acceptance_<name>.json``, read from its cache.
+
+    The cache's manifest must list exactly the campaign's planned runs, and
+    each log must read back whole; otherwise the test fails, naming the
+    command that regenerates the cache.
+    """
+    campaign_file = f"campaigns/acceptance_{name}.json"
+    config = load_campaign_config(REPO_ROOT / campaign_file)
+    cache = REPO_ROOT / config.output_dir
+    planned = {run_log_filename(c): c for c in config.run_configs()}
+    try:
+        if read_manifest(cache) != planned:
+            raise MalformedRunLog(f"{cache} does not list exactly the runs {campaign_file} plans")
+        return read_run_logs(cache)
+    except MalformedRunLog as exc:
+        problem = exc
+    pytest.fail(f"{problem}; regenerate the cache with `infillbench run {campaign_file}` "
+                "from the repository root", pytrace=False)
 
 
 def final_gaps(logs, criterion):
@@ -282,44 +297,18 @@ def test_criterion_5_budget_accounting(monkeypatch, search_rows):
 
 @pytest.fixture(scope="module")
 def rastrigin_2d_logs():
-    return cached_campaign(
-        "rastrigin_2d",
-        functions=(3,),
-        dimensions=(2,),
-        instances=tuple(range(1, 16)),
-        criteria=(InfillCriterion.EXPECTED_IMPROVEMENT, InfillCriterion.PREDICTED_VALUE),
-        total_budget=150,
-    )
+    return committed_study("rastrigin_2d")
 
 
 @pytest.fixture(scope="module")
 def high_dim_logs():
     # desk-scale fit budget: 100 likelihood evaluations per model parameter
-    return cached_campaign(
-        "high_dim_10d",
-        functions=(3, 13),
-        dimensions=(10,),
-        instances=tuple(range(1, 11)),
-        criteria=(InfillCriterion.EXPECTED_IMPROVEMENT, InfillCriterion.PREDICTED_VALUE),
-        total_budget=150,
-        mle_evals_per_param=100,
-    )
+    return committed_study("high_dim_10d")
 
 
 @pytest.fixture(scope="module")
 def sphere_5d_logs():
-    return cached_campaign(
-        "sphere_5d",
-        functions=(1,),
-        dimensions=(5,),
-        instances=tuple(range(1, 11)),
-        criteria=(
-            InfillCriterion.EXPECTED_IMPROVEMENT,
-            InfillCriterion.PREDICTED_VALUE,
-            InfillCriterion.RANDOM_SEARCH,
-        ),
-        total_budget=100,
-    )
+    return committed_study("sphere_5d")
 
 
 def test_criterion_6_low_dimensional_ei_advantage(rastrigin_2d_logs):

@@ -43,7 +43,8 @@ def write_config(tmp_path, mapping):
 class TestCampaignConfig:
     def test_unknown_function_rejected_before_any_io(self, tmp_path):
         with pytest.raises(UnknownFunction):
-            CampaignConfig(functions=(4,), dimensions=(2,), criteria=("ei",))
+            CampaignConfig(functions=(4,), dimensions=(2,), criteria=("ei",),
+                           output_dir=str(tmp_path / "runs"))
         assert not (tmp_path / "runs").exists()
 
     def test_unknown_keys_rejected(self, tmp_path):

@@ -280,13 +280,22 @@ class TestReadRunLog:
         with pytest.raises(MalformedRunLog, match="header"):
             read_run_log(log_path)
 
-    @pytest.mark.parametrize("column", ["y", "gap", "best_gap", "wall_time_ms"])
+    @pytest.mark.parametrize("column", ["y", "gap", "best_gap", "nn_distance", "wall_time_ms"])
     def test_blank_required_field_raises(self, log_path, column):
         def blank(header, rows):
             rows[3][header.index(column)] = ""
 
         rewrite_log(log_path, blank)
         with pytest.raises(MalformedRunLog):
+            read_run_log(log_path)
+
+    def test_filled_first_row_nn_distance_raises(self, log_path):
+        # row 1 has no earlier point to measure against, so the writer leaves it blank
+        def fill(header, rows):
+            rows[0][header.index("nn_distance")] = "0.5"
+
+        rewrite_log(log_path, fill)
+        with pytest.raises(MalformedRunLog, match="nn_distance"):
             read_run_log(log_path)
 
     @pytest.mark.parametrize("column", ["x_2", "gap", "model_nll"])
