@@ -9,7 +9,7 @@ convergence curves, and a rule-based criterion recommendation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -18,7 +18,7 @@ import numpy as np
 
 from .infill import InfillCriterion
 from .numerics import standard_normal_cdf
-from .smbo import RunLog, write_text_atomic
+from .smbo import RunLog, write_table
 
 DEFAULT_ALPHA = 0.05
 
@@ -314,37 +314,24 @@ def recommend_criterion(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_domination_csv(cells: Sequence[DominationCell], path) -> Path:
-    path = Path(path)
-    lines = ["function_id,dimension,checkpoint,winner,p_value"]
-    for c in cells:
-        lines.append(f"{c.function_id},{c.dimension},{c.checkpoint},{c.winner},{_fmt(c.p_value)}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
-    return path
+    """One row per cell, one column per DominationCell field."""
+    return write_table(path, [f.name for f in fields(DominationCell)], map(astuple, cells))
 
 
 def write_curves_csv(
     curve_sets: dict[str, dict[CurveKey, QuartileCurve]], path
 ) -> Path:
     """Write curves for one or more fields; group names carry the field label."""
-    path = Path(path)
-    lines = ["group,checkpoint,median,q1,q3"]
+    rows = []
     for field, curves in curve_sets.items():
         for (function_id, dimension, criterion), curve in sorted(
             curves.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
         ):
             group = f"f{function_id}_d{dimension}_{criterion.value}_{field}"
-            for i, checkpoint in enumerate(curve.checkpoints):
-                lines.append(
-                    f"{group},{checkpoint},{_fmt(curve.median[i])},"
-                    f"{_fmt(curve.lower_quartile[i])},{_fmt(curve.upper_quartile[i])}"
-                )
-    write_text_atomic(path, "\n".join(lines) + "\n")
-    return path
+            rows += [(group, *row) for row in zip(
+                curve.checkpoints, curve.median, curve.lower_quartile, curve.upper_quartile)]
+    return write_table(path, ["group", "checkpoint", "median", "q1", "q3"], rows)
 
 
 def format_domination_summary(cells: Sequence[DominationCell]) -> str:

@@ -146,8 +146,9 @@ def _execute_run(run_config: RunConfig, out_dir: Path) -> None:
 def _finished_runs(pending: list[RunConfig], out_dir: Path, workers: int):
     """Execute ``pending`` and yield each RunConfig once its log is written:
     in plan order in this process, or as they complete on a pool of
-    ``workers`` processes."""
-    if workers > 1 and len(pending) > 1:
+    ``workers`` processes, at most one per pending run."""
+    workers = min(workers, len(pending))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_execute_run, run_config, out_dir): run_config
                        for run_config in pending}

@@ -219,6 +219,8 @@ class KrigingHyperparameters:
         power = np.atleast_1d(np.asarray(self.power, dtype=float))
         if theta.shape != power.shape or theta.ndim != 1:
             raise ValueError("theta and power must be 1-d vectors of equal length")
+        if not (np.isfinite(theta).all() and np.isfinite(power).all()):
+            raise ValueError("theta and power entries must be finite")
         if np.any(theta <= 0.0):
             raise ValueError("theta entries must be positive")
         if np.any(power < POWER_BOUNDS[0]) or np.any(power > POWER_BOUNDS[1]):

@@ -12,6 +12,10 @@ Every random decision inside a run draws from its own stream derived as
 design, 1 for each model fit, and 2 for each proposal. Re-running a config
 therefore reproduces the exact evaluation sequence, and streams stay
 independent across purposes and iterations.
+
+Every output file is written here, atomically: ``write_table`` writes each CSV
+(the run logs, and ``analysis``'s ``domination.csv`` and ``curves.csv``) from a
+header and rows of values, by one cell rule, and ``write_manifest`` the JSON.
 """
 
 from __future__ import annotations
@@ -196,14 +200,10 @@ def run_log_filename(config: RunConfig) -> str:
     )
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(value, ".17g")
-
-
-def _header(dimension: int) -> str:
-    """The header of a run log over ``dimension`` variables: the one the writer
-    writes, and the only one the reader accepts."""
-    return ",".join(["iteration", *(f"x_{i}" for i in range(1, dimension + 1)), *_VALUE_COLUMNS])
+def _columns(dimension: int) -> list[str]:
+    """The columns of a run log over ``dimension`` variables: the header the
+    writer writes, and the only one the reader accepts."""
+    return ["iteration", *(f"x_{i}" for i in range(1, dimension + 1)), *_VALUE_COLUMNS]
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -217,17 +217,25 @@ def write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _cell(value) -> str:
+    if isinstance(value, (str, int)):
+        return str(value)
+    return "" if value is None else format(value, ".17g")
+
+
+def write_table(path, header, rows) -> Path:
+    """Write a CSV file atomically, ``header`` then each row. A cell is blank for None,
+    a string or an int as it is, and any other number at 17 significant digits."""
+    path = Path(path)
+    write_text_atomic(path, "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows]))
+    return path
+
+
 def write_run_log(log: RunLog, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / run_log_filename(log.config)
-    lines = [_header(log.config.dimension)]
-    for r in log.records:
-        row = [str(r.iteration), *(_fmt(v) for v in r.x)]
-        row += [_fmt(getattr(r, name)) for name in _VALUE_COLUMNS]
-        lines.append(",".join(row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
-    return path
+    rows = ([r.iteration, *r.x, *(getattr(r, name) for name in _VALUE_COLUMNS)] for r in log.records)
+    return write_table(directory / run_log_filename(log.config), _columns(log.config.dimension), rows)
 
 
 def manifest_entry(config: RunConfig) -> dict:
@@ -255,17 +263,20 @@ def read_manifest(directory) -> dict[str, RunConfig]:
     """The runs a directory's manifest lists: log file name -> RunConfig.
 
     The one place a manifest is parsed and checked. MalformedRunLog when the
-    directory has no manifest, it cannot be parsed, or any entry does not
-    record exactly its run settings.
+    directory has no manifest, it cannot be parsed, any entry does not
+    record exactly its run settings, or two entries name one file.
     """
     path = Path(directory) / MANIFEST_NAME
     try:
         runs = json.loads(path.read_text())["runs"]
-        return {entry["file"]: _entry_settings(entry) for entry in runs}
+        listed = {entry["file"]: _entry_settings(entry) for entry in runs}
     except FileNotFoundError as exc:
         raise MalformedRunLog(f"{path.parent} has no {MANIFEST_NAME}") from exc
     except (KeyError, TypeError, ValueError, UnknownFunction) as exc:  # JSONDecodeError is a ValueError
         raise MalformedRunLog(f"manifest {path} cannot be parsed: {exc!r}") from exc
+    if len(listed) < len(runs):
+        raise MalformedRunLog(f"manifest {path} lists a log file more than once")
+    return listed
 
 
 def write_manifest(directory, campaign_settings: dict, configs) -> None:
@@ -306,10 +317,10 @@ def _parse_run_log(path: Path, config: RunConfig) -> RunLog:
     if len(lines) != config.total_budget + 1:
         raise MalformedRunLog(f"run log {path} does not hold the {config.total_budget} records "
                               f"its manifest entry records")
-    header = _header(config.dimension)
+    columns, d = _columns(config.dimension), config.dimension
+    header = ",".join(columns)
     if lines[0] != header:
         raise MalformedRunLog(f"run log {path} has the header {lines[0]!r}, not {header!r}")
-    columns, d = header.split(","), config.dimension
     records: list[IterationRecord] = []
     for k, line in enumerate(lines[1:], start=1):
         parts = line.split(",")

@@ -11,7 +11,7 @@ everywhere in the search box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -225,13 +225,7 @@ def evaluate(f: TestFunction, x: np.ndarray) -> float:
 
 
 def suite_manifest() -> list[dict]:
-    """Suite description as plain data (used by the CLI's ``list`` command)."""
-    return [
-        {
-            "function_id": entry.function_id,
-            "name": entry.name,
-            "tags": list(entry.tags),
-            "rotated": entry.rotated,
-        }
-        for entry in _SUITE
-    ]
+    """Suite description as plain data (used by the CLI's ``list`` command):
+    each SuiteEntry field but its ``base`` landscape."""
+    names = [f.name for f in fields(SuiteEntry) if f.name != "base"]
+    return [{name: getattr(entry, name) for name in names} for entry in _SUITE]

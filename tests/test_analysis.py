@@ -162,6 +162,10 @@ class TestWilcoxon:
         with pytest.raises(EmptySample):
             wilcoxon_rank_sum([], [1.0])
 
+    def test_unknown_alternative(self):
+        with pytest.raises(ValueError, match="alternative"):
+            wilcoxon_rank_sum([1.0], [2.0], "smaller")
+
 
 class TestCheckpointGrid:
     def test_default_budget_ladder(self):
@@ -179,6 +183,11 @@ class TestCheckpointGrid:
         grid = checkpoint_grid(600)
         assert grid[-1] == 600
         assert 400 in grid
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            checkpoint_grid(budget)
 
 
 class TestDominationMatrix:
@@ -239,6 +248,20 @@ class TestDominationMatrix:
         np.testing.assert_allclose(
             [c.p_value for c in log_cells], [c.p_value for c in cells], atol=1e-12
         )
+
+    def test_uniformly_better_pm_wins_everywhere(self):
+        rng = np.random.default_rng(1)
+        base = rng.uniform(1.0, 2.0, 15)
+        logs = [
+            synthetic_log(3, 2, InfillCriterion.EXPECTED_IMPROVEMENT, g, s)
+            for s, g in enumerate(base)
+        ]
+        logs += [
+            synthetic_log(3, 2, InfillCriterion.PREDICTED_VALUE, g / 10.0, 100 + s)
+            for s, g in enumerate(base)
+        ]
+        cells = domination_matrix(logs)
+        assert cells and all(c.winner == "pm" for c in cells)
 
     def test_alpha_zero_blanks_everything(self):
         rng = np.random.default_rng(2)
@@ -321,6 +344,11 @@ class TestQuartileCurves:
     def test_single_run_rejected(self):
         with pytest.raises(InsufficientRuns):
             quartile_curves([synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 1.0, 0)])
+
+    def test_unknown_field_rejected(self):
+        logs = [synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 1.0, s) for s in range(3)]
+        with pytest.raises(ValueError, match="unknown field"):
+            quartile_curves(logs, field="gap")
 
 
 class TestRecommendation:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,41 @@ def write_config(tmp_path, mapping):
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps(mapping))
     return path
+
+
+@pytest.fixture
+def deferred_pools(monkeypatch):
+    """Stand in for the campaign's process pool, starting no process: each pool
+    made is recorded with its max_workers and its submissions, and work runs in
+    this process as its future finishes, last submitted first."""
+    pools = []
+
+    class DeferredPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.submitted = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            self.submitted.append((future, fn, args))
+            return future
+
+    def in_reverse_submission_order(futures):
+        submitted = pools[-1].submitted
+        assert set(futures) == {future for future, _, _ in submitted}
+        for future, fn, args in reversed(submitted):
+            future.set_result(fn(*args))
+            yield future
+
+    monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", DeferredPool)
+    monkeypatch.setattr(campaign_module, "as_completed", in_reverse_submission_order)
+    return pools
 
 
 class TestCampaignConfig:
@@ -189,6 +226,12 @@ class TestRunCommand:
         path.write_text("{not json")
         assert main(["run", str(path)]) == EXIT_CONFIG
 
+    def test_config_that_is_not_an_object_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[3, 2]")
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_CONFIG
 
@@ -297,36 +340,18 @@ class TestRunCommand:
             assert without_timing(pool_dir / name) == without_timing(serial_dir / name)
         assert (pool_dir / "manifest.json").read_bytes() == (serial_dir / "manifest.json").read_bytes()
 
-    def test_pool_records_each_run_as_it_finishes_in_plan_order(self, tmp_path, monkeypatch):
-        submitted, listed_after_each_run = [], []
+    def test_pool_records_each_run_as_it_finishes_in_plan_order(
+        self, tmp_path, monkeypatch, deferred_pools
+    ):
+        listed_after_each_run, finish = [], campaign_module.as_completed
 
-        class DeferredPool:
-            """Stands in for a process pool: work runs in this process when its future finishes."""
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                submitted.append((future, fn, args))
-                return future
-
-        def in_reverse_plan_order(futures):
-            assert set(futures) == {future for future, _, _ in submitted}
-            for future, fn, args in reversed(submitted):
-                future.set_result(fn(*args))
+        def recording_the_manifest(futures):
+            for future in finish(futures):
                 yield future
                 manifest = json.loads((tmp_path / "pool" / "manifest.json").read_text())
                 listed_after_each_run.append([entry["file"] for entry in manifest["runs"]])
 
-        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", DeferredPool)
-        monkeypatch.setattr(campaign_module, "as_completed", in_reverse_plan_order)
+        monkeypatch.setattr(campaign_module, "as_completed", recording_the_manifest)
         manifests = []
         for workers, out_dir in ((2, "pool"), (1, "serial")):
             mapping = small_campaign(tmp_path, dimensions=[2, 3], instances=[1],
@@ -339,6 +364,20 @@ class TestRunCommand:
         # runs finish last-planned first; after each, the manifest lists the finished runs in plan order
         assert listed_after_each_run == [plan[3:], plan[2:], plan[1:], plan]
         assert manifests[0] == manifests[1]
+
+    def test_pool_has_at_most_one_process_per_pending_run(self, tmp_path, deferred_pools, capsys):
+        # a pool may start every process it may have at its first submission
+        mapping = small_campaign(tmp_path, instances=[1, 2, 3], criteria=["random"],
+                                 total_budget=12, workers=64)
+        config = write_config(tmp_path, mapping)
+        assert main(["run", str(config)]) == EXIT_OK
+        assert [pool.max_workers for pool in deferred_pools] == [3]
+        # one pending run goes in this process, with no pool at all
+        sorted((tmp_path / "runs").glob("f*.csv"))[0].unlink()
+        capsys.readouterr()
+        assert main(["run", str(config)]) == EXIT_OK
+        assert "executed 1 run(s), skipped 2" in capsys.readouterr().out
+        assert len(deferred_pools) == 1
 
 
 def copy_campaign(source, target):
@@ -446,6 +485,34 @@ class TestAnalyzeCommand:
         empty.mkdir()
         assert main(["analyze", str(empty)]) == EXIT_DATA
 
+    def test_manifest_listing_no_runs_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text(json.dumps({"campaign": {}, "runs": []}))
+        capsys.readouterr()
+        assert main(["analyze", str(tmp_path)]) == EXIT_DATA
+        assert "no run logs" in capsys.readouterr().err
+
+    def test_manifest_listing_a_file_twice_is_data_error(self, campaign_dir, tmp_path, capsys):
+        # the name does not encode the budget, so a repeat could claim another one
+        twice = tmp_path / "twice"
+        twice.mkdir()
+        copy_campaign(campaign_dir, twice)
+        manifest = json.loads((twice / "manifest.json").read_text())
+        manifest["runs"].append(dict(manifest["runs"][0]))
+        (twice / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["analyze", str(twice)]) == EXIT_DATA
+        assert "more than once" in capsys.readouterr().err
+
+    def test_outputs_of_a_committed_cache_are_pinned(self, tmp_path):
+        cache = Path(__file__).resolve().parent.parent / ".acceptance_cache" / "sphere_5d"
+        assert main(["analyze", str(cache), "--output-dir", str(tmp_path)]) == EXIT_OK
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("domination.csv", "curves.csv")}
+        assert digests == {
+            "domination.csv": "c77fdc2bfa11d2cbb4f4a2aa058238edcb453c343dd9f24a9f3e738992c3d639",
+            "curves.csv": "59cd58ce7ee38918128dab7f20b203a280a810f77cd6dc08c975a7a14a990066",
+        }
+
 
 class TestListCommand:
     def test_prints_all_functions(self, capsys):
@@ -459,6 +526,8 @@ class TestListCommand:
         assert main(["list", "--output", str(target)]) == EXIT_OK
         manifest = json.loads(target.read_text())
         assert {entry["function_id"] for entry in manifest} == {1, 2, 3, 5, 8, 9, 11, 12, 13, 14, 17, 20}
+        assert manifest[2] == {"function_id": 3, "name": "Rastrigin", "rotated": False,
+                               "tags": ["multimodal", "separable", "regular structure"]}
 
 
 class TestRecommendCommand:

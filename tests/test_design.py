@@ -20,6 +20,15 @@ class TestBoxBounds:
         with pytest.raises(InvalidBounds):
             BoxBounds([0.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.0, np.nan], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.inf]),
+        ([-np.inf, 0.0], [1.0, 1.0]),
+    ])
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(InvalidBounds, match="finite"):
+            BoxBounds(lower, upper)
+
     def test_rejects_a_box_of_no_dimensions(self):
         # Every other check holds vacuously on empty bound vectors.
         with pytest.raises(InvalidBounds, match="non-empty"):
@@ -70,6 +79,10 @@ class TestLatinHypercube:
 
 
 class TestUniformRandom:
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            uniform_random(0, BoxBounds.cube(2), seed=0)
+
     def test_inside_bounds(self):
         b = BoxBounds([-1.0, 0.0], [2.0, 0.5])
         pts = uniform_random(500, b, seed=1)

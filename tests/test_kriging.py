@@ -160,6 +160,35 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             fit(Dataset(x, y), seed=0)
 
+    @pytest.mark.parametrize("x, y", [
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0]], [0.0, 1.0]),
+        ([[[0.0, 0.0]], [[1.0, 1.0]]], [0.0, 1.0]),
+        ([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0]]),
+    ], ids=["fewer_values_than_points", "points_not_a_matrix", "values_not_a_vector"])
+    def test_inconsistent_shapes_rejected(self, x, y):
+        with pytest.raises(ValueError, match="inconsistent data shapes"):
+            Dataset(x, y)
+
+
+class TestHyperparameters:
+    @pytest.mark.parametrize("theta, power, nugget, message", [
+        # NaN passes every range comparison: model_at would report a NaN likelihood
+        ([np.nan, 1.0], [2.0, 2.0], 1e-8, "finite"),
+        ([1.0, np.inf], [2.0, 2.0], 1e-8, "finite"),
+        ([1.0, 1.0], [np.nan, 2.0], 1e-8, "finite"),
+        ([1.0, 1.0], [2.0], 1e-8, "equal length"),
+        ([[1.0, 1.0]], [[2.0, 2.0]], 1e-8, "1-d"),
+        ([1.0, 0.0], [2.0, 2.0], 1e-8, "positive"),
+        ([1.0, 1.0], [2.0, 2.5], 1e-8, "power"),
+        ([1.0, 1.0], [0.0, 2.0], 1e-8, "power"),
+        ([1.0, 1.0], [2.0, 2.0], 0.0, "nugget"),
+        ([1.0, 1.0], [2.0, 2.0], np.nan, "nugget"),
+    ], ids=["nan_theta", "infinite_theta", "nan_power", "unequal_lengths", "not_vectors",
+            "zero_theta", "power_above_bound", "power_below_bound", "zero_nugget", "nan_nugget"])
+    def test_invalid_rejected(self, theta, power, nugget, message):
+        with pytest.raises(ValueError, match=message):
+            KrigingHyperparameters(theta, power, nugget)
+
 
 class TestNegativeLogLikelihood:
     def test_two_far_points_closed_form(self):

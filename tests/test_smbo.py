@@ -25,6 +25,7 @@ from infillbench.smbo import (
     run_log_filename,
     write_manifest,
     write_run_log,
+    write_table,
     write_text_atomic,
 )
 from infillbench.testbed import UnknownFunction
@@ -92,6 +93,14 @@ class TestRunConfig:
     @pytest.mark.parametrize("value", [12.0, 12.5, True, "12"])
     def test_integer_setting_must_be_an_int(self, setting, value):
         with pytest.raises(ValueError, match=f"{setting} must be an integer"):
+            RunConfig(1, 2, 1, "ei", **{setting: value})
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("seed", -1, "seed must be non-negative"),
+        ("mle_evals_per_param", 0, "mle_evals_per_param must be positive"),
+    ])
+    def test_integer_setting_out_of_range_rejected(self, setting, value, message):
+        with pytest.raises(ValueError, match=message):
             RunConfig(1, 2, 1, "ei", **{setting: value})
 
 
@@ -465,6 +474,18 @@ class TestReadRunLogs:
         path.write_text(path.read_text()[:-40])
         with pytest.raises(MalformedRunLog):
             read_run_logs(campaign_dir)
+
+
+class TestWriteTable:
+    def test_one_cell_rule_for_every_value(self, tmp_path):
+        # blank for None, strings and ints as they are, any other number at 17 digits
+        rows = [(None, "pm", 7, 0.1), (np.float64(1 / 3), 2**70, 1e-300, np.int64(3))]
+        path = write_table(tmp_path / "t.csv", ["a", "b", "c", "d"], rows)
+        assert path.read_text() == (
+            "a,b,c,d\n"
+            ",pm,7,0.10000000000000001\n"
+            "0.33333333333333331,1180591620717411303424,1e-300,3\n"
+        )
 
 
 class TestAtomicWrites:

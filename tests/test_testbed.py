@@ -99,6 +99,11 @@ class TestInstances:
         with pytest.raises(OutOfBounds):
             evaluate(f, np.array([5.1, 0.0]))
 
+    @pytest.mark.parametrize("x", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+    def test_point_of_another_shape_rejected(self, x):
+        with pytest.raises(ValueError, match="expected a point of dimension 2"):
+            evaluate(make_instance(1, 2, 1), np.array(x))
+
 
 class TestSuiteListing:
     def test_required_members(self):
