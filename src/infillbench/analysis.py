@@ -20,7 +20,9 @@ from .infill import InfillCriterion
 from .numerics import standard_normal_cdf
 from .smbo import RunLog, write_table
 
-DEFAULT_ALPHA = 0.05
+ALPHA = 0.05  # significance level of every domination verdict
+CURVE_FIELDS = ("best_gap", "nn_distance")  # run-log fields with quartile curves
+MODALITY_HINTS = ("unimodal", "multimodal", "unknown")  # what recommend_criterion accepts
 
 # Exact rank enumeration is used up to this pooled sample size (tie-free only).
 EXACT_ENUMERATION_LIMIT = 16
@@ -171,19 +173,16 @@ class DominationCell:
     p_value: float
 
 
-def domination_matrix(logs: Iterable[RunLog], alpha: float = DEFAULT_ALPHA) -> list[DominationCell]:
-    """Which criterion wins where: significance plus a strictly smaller median.
+def domination_matrix(logs: Iterable[RunLog]) -> list[DominationCell]:
+    """Which criterion wins where: significance at ALPHA plus a strictly smaller median.
 
     Runs are pooled per (function, dimension, criterion) across instances;
     random-search baselines are ignored. Needs at least two EI and two PM
     runs per group, sharing a budget and an initial design size. Only the
     checkpoints past the design size are tested: up to it every run has
     evaluated only its own Latin hypercube, and a cell there would compare
-    design luck, not criteria. ``alpha`` must lie in [0, 1): at 0 no
-    comparison is significant, and at 1 or above every one would be.
+    design luck, not criteria.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"significance level alpha must lie in [0, 1), got {alpha}")
     cells: list[DominationCell] = []
     for (function_id, dimension), by_criterion in sorted(_group_runs(logs).items()):
         ei_runs = by_criterion.get(InfillCriterion.EXPECTED_IMPROVEMENT, [])
@@ -203,7 +202,7 @@ def domination_matrix(logs: Iterable[RunLog], alpha: float = DEFAULT_ALPHA) -> l
             pm_gaps = _values_at(pm_runs, checkpoint)
             p = wilcoxon_rank_sum(ei_gaps, pm_gaps).p_value
             winner = "none"
-            if p < alpha:
+            if p < ALPHA:
                 ei_median = float(np.median(ei_gaps))
                 pm_median = float(np.median(pm_gaps))
                 if ei_median < pm_median:
@@ -228,12 +227,12 @@ CurveKey = tuple[int, int, InfillCriterion]
 
 
 def quartile_curves(logs: Iterable[RunLog], field: str = "best_gap") -> dict[CurveKey, QuartileCurve]:
-    """Per-group median/quartile curves of ``best_gap`` or ``nn_distance``.
+    """Median/quartile curves of a CURVE_FIELDS field, by function, dimension, criterion.
 
     Quartiles use linear interpolation of order statistics (numpy's default
     percentile rule). Needs at least two runs per group.
     """
-    if field not in ("best_gap", "nn_distance"):
+    if field not in CURVE_FIELDS:
         raise ValueError(f"unknown field {field!r}")
     curves: dict[CurveKey, QuartileCurve] = {}
     for (function_id, dimension), by_criterion in sorted(_group_runs(logs).items()):
@@ -283,7 +282,7 @@ def recommend_criterion(
     """
     if dimension < 1 or budget < 1:
         raise ValueError("dimension and budget must be positive")
-    if modality_hint not in ("unimodal", "multimodal", "unknown"):
+    if modality_hint not in MODALITY_HINTS:
         raise ValueError(f"unknown modality hint {modality_hint!r}")
     pm = InfillCriterion.PREDICTED_VALUE
     ei = InfillCriterion.EXPECTED_IMPROVEMENT
@@ -322,12 +321,10 @@ def write_domination_csv(cells: Sequence[DominationCell], path) -> Path:
 def write_curves_csv(
     curve_sets: dict[str, dict[CurveKey, QuartileCurve]], path
 ) -> Path:
-    """Write curves for one or more fields; group names carry the field label."""
+    """Write each field's curves in quartile_curves' order; group names carry the field."""
     rows = []
     for field, curves in curve_sets.items():
-        for (function_id, dimension, criterion), curve in sorted(
-            curves.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
-        ):
+        for (function_id, dimension, criterion), curve in curves.items():
             group = f"f{function_id}_d{dimension}_{criterion.value}_{field}"
             rows += [(group, *row) for row in zip(
                 curve.checkpoints, curve.median, curve.lower_quartile, curve.upper_quartile)]

@@ -19,11 +19,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .infill import InfillCriterion
-from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, _parse_run_log, read_manifest,
-                   run, run_log_filename, write_manifest, write_run_log)
+from .smbo import (MANIFEST_NAME, MalformedRunLog, RunConfig, _parse_run_log, derive_seed,
+                   read_manifest, run, run_log_filename, write_manifest, write_run_log)
 from .testbed import INSTANCE_IDS
 
 # Stable per-criterion codes for seed derivation; never reorder.
@@ -113,14 +111,11 @@ def derive_run_seed(
     instance_id: int,
     criterion: InfillCriterion,
 ) -> int:
-    """Deterministic 64-bit run seed from the campaign coordinates."""
+    """Deterministic 64-bit run seed from the campaign coordinates, by ``smbo.derive_seed``."""
     # The trailing 0 was a repeat index, and every run so far had index 0;
     # keeping it keeps every seed, log name and cached log valid.
-    seq = np.random.SeedSequence(
-        (base_seed, function_id, dimension, instance_id,
-         _CRITERION_CODES[InfillCriterion(criterion)], 0)
-    )
-    return int(seq.generate_state(1, np.uint64)[0])
+    return derive_seed(base_seed, function_id, dimension, instance_id,
+                       _CRITERION_CODES[InfillCriterion(criterion)], 0)
 
 
 @dataclass

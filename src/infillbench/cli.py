@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    DEFAULT_ALPHA,
+    CURVE_FIELDS,
+    MODALITY_HINTS,
     EmptySample,
     InsufficientRuns,
     domination_matrix,
@@ -66,16 +67,13 @@ def _build_parser() -> _Parser:
 
     p_analyze = sub.add_parser("analyze", help="compare criteria over a log directory")
     p_analyze.add_argument("log_dir", help="directory of run CSVs")
-    p_analyze.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
     p_analyze.add_argument("--output-dir", help="where to write the CSVs (default: log_dir)")
     p_analyze.set_defaults(handler=_cmd_analyze)
 
     p_rec = sub.add_parser("recommend", help="suggest an infill criterion")
     p_rec.add_argument("-d", "--dimension", type=int, required=True)
     p_rec.add_argument("-b", "--budget", type=int, required=True)
-    p_rec.add_argument(
-        "--modality", choices=["unimodal", "multimodal", "unknown"], default="unknown"
-    )
+    p_rec.add_argument("--modality", choices=MODALITY_HINTS, default="unknown")
     p_rec.set_defaults(handler=_cmd_recommend)
     return parser
 
@@ -109,15 +107,12 @@ def _cmd_analyze(args) -> int:
     logs = read_run_logs(args.log_dir)
     if not logs:
         raise InsufficientRuns(f"no run logs found in {args.log_dir}")
-    cells = domination_matrix(logs, alpha=args.alpha)
+    cells = domination_matrix(logs)
     out_dir = Path(args.output_dir) if args.output_dir else Path(args.log_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_domination_csv(cells, out_dir / "domination.csv")
-    curve_sets = {
-        "best_gap": quartile_curves(logs, "best_gap"),
-        "nn_distance": quartile_curves(logs, "nn_distance"),
-    }
-    write_curves_csv(curve_sets, out_dir / "curves.csv")
+    write_curves_csv({field: quartile_curves(logs, field) for field in CURVE_FIELDS},
+                     out_dir / "curves.csv")
     print(format_domination_summary(cells))
     print(f"wrote {out_dir / 'domination.csv'} and {out_dir / 'curves.csv'}")
     return EXIT_OK

@@ -39,8 +39,12 @@ DIFFERENTIAL_WEIGHT = 0.8
 CROSSOVER_RATE = 0.9
 
 
-def _sanitize(values: np.ndarray) -> np.ndarray:
+def _sanitize(values: np.ndarray, rows: int) -> np.ndarray:
+    """The objective's values for ``rows`` points, non-finite ones penalized;
+    ValueError unless there is one value per point."""
     values = np.asarray(values, dtype=float)
+    if values.shape != (rows,):
+        raise ValueError(f"objective returned shape {values.shape} for {rows} points, not ({rows},)")
     return np.where(np.isfinite(values), values, NONFINITE_PENALTY)
 
 
@@ -57,10 +61,11 @@ def minimize(
     """Minimize a black-box objective over a box; returns the best point evaluated.
 
     ``objective`` evaluates an (m, d) array of points in one call and returns
-    m values; each row counts as one evaluation, and non-finite values are
-    replaced by NONFINITE_PENALTY. The array it receives is valid only for the
-    duration of the call. A budget below the population evaluates only that
-    many initial members. Deterministic for a fixed budget and seed.
+    their (m,) values, ValueError for any other shape; each row counts as one
+    evaluation, and non-finite values are replaced by NONFINITE_PENALTY. The
+    array it receives is valid only for the duration of the call. A budget
+    below the population evaluates only that many initial members.
+    Deterministic for a fixed budget and seed.
     """
     if budget < 1:
         raise ValueError("budget must be at least one evaluation")
@@ -70,7 +75,7 @@ def minimize(
 
     population = rng.uniform(bounds.lower, bounds.upper, size=(n_pop, d))
     evaluations = min(budget, n_pop)
-    fitness = _sanitize(objective(population[:evaluations]))
+    fitness = _sanitize(objective(population[:evaluations]), evaluations)
 
     best_index = int(fitness.argmin())
     x_best = population[best_index].copy()
@@ -113,7 +118,7 @@ def minimize(
         np.copyto(trials, population, where=inherited)
 
         take = min(n_pop, budget - evaluations)
-        trial_fitness = _sanitize(objective(trials[:take]))
+        trial_fitness = _sanitize(objective(trials[:take]), take)
         evaluations += take
 
         improved = trial_fitness <= fitness[:take]

@@ -173,6 +173,9 @@ class Dataset:
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise ValueError(f"inconsistent data shapes {X.shape} and {y.shape}")
+        if X.shape[1] == 0:
+            raise ValueError(f"inconsistent data shapes {X.shape} and {y.shape}: "
+                             "a point needs at least one coordinate")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("data must be finite")
         object.__setattr__(self, "X", X)
@@ -219,6 +222,8 @@ class KrigingHyperparameters:
         power = np.atleast_1d(np.asarray(self.power, dtype=float))
         if theta.shape != power.shape or theta.ndim != 1:
             raise ValueError("theta and power must be 1-d vectors of equal length")
+        if theta.size == 0:
+            raise ValueError("theta and power need at least one entry")
         if not (np.isfinite(theta).all() and np.isfinite(power).all()):
             raise ValueError("theta and power entries must be finite")
         if np.any(theta <= 0.0):
@@ -577,8 +582,12 @@ def model_at(data: Dataset, params: KrigingHyperparameters) -> KrigingModel:
     """The model conditioned on ``data`` at fixed hyperparameters.
 
     The nugget escalates as in the likelihood search, and the model carries
-    the value that factored; DegenerateData if even NUGGET_MAX does not.
+    the value that factored; DegenerateData if even NUGGET_MAX does not, and
+    ValueError if ``params`` are of another dimension than ``data``.
     """
+    if params.theta.shape != (data.dimension,):
+        raise ValueError(f"hyperparameters of dimension {params.theta.size} "
+                         f"for data of dimension {data.dimension}")
     ws = _FitWorkspace(_Geometry(data.X, data.y), capacity=1)
     terms = _likelihoods(ws, params.theta[None], params.power[None], np.array([params.nugget]))
     if terms.failed:

@@ -7,11 +7,12 @@ design phase but never fit a model.
 
 Seed scheme
 -----------
-Every random decision inside a run draws from its own stream derived as
-``SeedSequence((run_seed, stream, iteration))`` with stream 0 for the initial
-design, 1 for each model fit, and 2 for each proposal. Re-running a config
-therefore reproduces the exact evaluation sequence, and streams stay
-independent across purposes and iterations.
+Every random decision inside a run draws from its own stream, seeded by
+``derive_seed(run_seed, stream, iteration)``: stream 0 for the initial design
+(iteration 0), 1 for each model fit, and 2 for each proposal. Re-running a
+config therefore reproduces the exact evaluation sequence, and streams stay
+independent across purposes and iterations. ``derive_seed`` is the one seed
+rule: ``campaign`` derives each run's seed by it from the run's coordinates.
 
 Every output file is written here, atomically: ``write_table`` writes each CSV
 (the run logs, and ``analysis``'s ``domination.csv`` and ``curves.csv``) from a
@@ -48,10 +49,9 @@ class MalformedRunLog(ValueError):
     """A run log, or its directory's manifest, that cannot be parsed, such as a truncated one."""
 
 
-def substream_seed(run_seed: int, stream: int, iteration: int = 0) -> int:
-    """Derived integer seed for one (purpose, iteration) stream of a run."""
-    seq = np.random.SeedSequence((run_seed, stream, iteration))
-    return int(seq.generate_state(1, np.uint64)[0])
+def derive_seed(*entropy: int) -> int:
+    """The integer seed ``entropy`` derives: the first 64-bit word its SeedSequence generates."""
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,15 @@ class RunLog:
 
 
 def nearest_neighbor_distance(known: np.ndarray, x: np.ndarray) -> float:
-    """Euclidean distance from x to its closest point in the archive."""
+    """Euclidean distance from x to its closest point in the archive; ValueError
+    for a point of another dimension than the archive's points."""
     known = np.atleast_2d(np.asarray(known, dtype=float))
     if known.size == 0:
         raise EmptyArchive("no evaluated points to measure against")
-    deltas = known - np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.shape != known.shape[1:]:
+        raise ValueError(f"a point of shape {x.shape} for an archive of shape {known.shape}")
+    deltas = known - x
     return float(np.sqrt((deltas * deltas).sum(axis=1).min()))
 
 
@@ -133,7 +137,7 @@ def run(config: RunConfig) -> RunLog:
     records: list[IterationRecord] = []
     best_gap = np.inf
     criterion = config.infill
-    design = latin_hypercube(n_init, bounds, substream_seed(config.seed, _STREAM_DESIGN))
+    design = latin_hypercube(n_init, bounds, derive_seed(config.seed, _STREAM_DESIGN, 0))
     for k in range(1, budget + 1):
         started = time.perf_counter()
         model = None
@@ -147,12 +151,12 @@ def run(config: RunConfig) -> RunLog:
             if criterion.model_based:
                 model = fit(
                     Dataset(points[: k - 1], values[: k - 1]),
-                    substream_seed(config.seed, _STREAM_FIT, k),
+                    derive_seed(config.seed, _STREAM_FIT, k),
                     evals_per_param=config.mle_evals_per_param,
                 )
             x = propose(
                 model, criterion, bounds, float(values[: k - 1].min()),
-                substream_seed(config.seed, _STREAM_PROPOSE, k),
+                derive_seed(config.seed, _STREAM_PROPOSE, k),
             )
         nn = nearest_neighbor_distance(points[: k - 1], x) if k > 1 else None
         y = evaluate(func, x)

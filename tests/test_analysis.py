@@ -263,25 +263,6 @@ class TestDominationMatrix:
         cells = domination_matrix(logs)
         assert cells and all(c.winner == "pm" for c in cells)
 
-    def test_alpha_zero_blanks_everything(self):
-        rng = np.random.default_rng(2)
-        logs = [
-            synthetic_log(1, 2, InfillCriterion.EXPECTED_IMPROVEMENT, rng.uniform(0, 0.1), s)
-            for s in range(5)
-        ]
-        logs += [
-            synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, rng.uniform(10, 11), s)
-            for s in range(5)
-        ]
-        assert all(c.winner == "none" for c in domination_matrix(logs, alpha=0.0))
-
-    @pytest.mark.parametrize("alpha", [-0.01, 1.0, 2.0, float("nan")])
-    def test_alpha_outside_unit_interval_rejected(self, alpha):
-        logs = [synthetic_log(1, 2, InfillCriterion.EXPECTED_IMPROVEMENT, 1.0, s) for s in range(3)]
-        logs += [synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 2.0, s) for s in range(3)]
-        with pytest.raises(ValueError, match="alpha"):
-            domination_matrix(logs, alpha=alpha)
-
     def test_requires_two_runs_per_criterion(self):
         logs = [synthetic_log(1, 2, InfillCriterion.EXPECTED_IMPROVEMENT, 1.0, 0)]
         logs += [synthetic_log(1, 2, InfillCriterion.PREDICTED_VALUE, 2.0, s) for s in range(3)]

@@ -472,12 +472,12 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(gone)]) == EXIT_DATA
         assert "missing" in capsys.readouterr().err
 
-    def test_alpha_outside_unit_interval_is_config_error(self, campaign_dir, tmp_path, capsys):
+    def test_significance_level_is_not_an_option(self, campaign_dir, tmp_path, capsys):
+        # every verdict is at analysis.ALPHA
         out_dir = tmp_path / "out"
         capsys.readouterr()
-        argv = ["analyze", str(campaign_dir), "--alpha", "2", "--output-dir", str(out_dir)]
-        assert main(argv) == EXIT_CONFIG
-        assert "alpha" in capsys.readouterr().err
+        assert main(["analyze", str(campaign_dir), "--alpha", "0.1", "--output-dir", str(out_dir)]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_empty_directory_is_data_error(self, tmp_path):

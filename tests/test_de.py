@@ -31,6 +31,16 @@ class TestBudget:
         with pytest.raises(ValueError):
             minimize(rowwise(sphere), BoxBounds.cube(2), 0, seed=0)
 
+    @pytest.mark.parametrize("objective", [
+        lambda points: np.array([sphere(points[0])]),
+        lambda points: sphere(points[0]),
+        lambda points: np.zeros(len(points) + 1),
+    ], ids=["one_value", "scalar", "one_value_too_many"])
+    def test_objective_must_return_one_value_per_row(self, objective):
+        # a single value would broadcast over the population and search on
+        with pytest.raises(ValueError, match=r"for 20 points, not \(20,\)"):
+            minimize(objective, BoxBounds.cube(2), 200, seed=0)
+
 
 class TestMinimize:
     def test_sphere_convergence(self):

@@ -164,7 +164,9 @@ class TestDataset:
         ([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0]], [0.0, 1.0]),
         ([[[0.0, 0.0]], [[1.0, 1.0]]], [0.0, 1.0]),
         ([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0]]),
-    ], ids=["fewer_values_than_points", "points_not_a_matrix", "values_not_a_vector"])
+        (np.empty((3, 0)), [0.0, 1.0, 2.0]),
+    ], ids=["fewer_values_than_points", "points_not_a_matrix", "values_not_a_vector",
+            "points_without_coordinates"])
     def test_inconsistent_shapes_rejected(self, x, y):
         with pytest.raises(ValueError, match="inconsistent data shapes"):
             Dataset(x, y)
@@ -183,14 +185,22 @@ class TestHyperparameters:
         ([1.0, 1.0], [0.0, 2.0], 1e-8, "power"),
         ([1.0, 1.0], [2.0, 2.0], 0.0, "nugget"),
         ([1.0, 1.0], [2.0, 2.0], np.nan, "nugget"),
+        ([], [], 1e-8, "at least one entry"),
     ], ids=["nan_theta", "infinite_theta", "nan_power", "unequal_lengths", "not_vectors",
-            "zero_theta", "power_above_bound", "power_below_bound", "zero_nugget", "nan_nugget"])
+            "zero_theta", "power_above_bound", "power_below_bound", "zero_nugget", "nan_nugget",
+            "no_entries"])
     def test_invalid_rejected(self, theta, power, nugget, message):
         with pytest.raises(ValueError, match=message):
             KrigingHyperparameters(theta, power, nugget)
 
 
 class TestNegativeLogLikelihood:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_hyperparameters_of_another_dimension_rejected(self, d):
+        data = Dataset([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=f"dimension {d} for data of dimension 2"):
+            model_at(data, KrigingHyperparameters(np.ones(d), np.full(d, 2.0), 1e-8))
+
     def test_two_far_points_closed_form(self):
         # K is essentially the identity: mu = mean(y), sigma2 = biased variance,
         # nll = log sigma2 up to the tiny nugget contribution

@@ -74,6 +74,12 @@ class TestNearestNeighborDistance:
         with pytest.raises(EmptyArchive):
             nearest_neighbor_distance(np.empty((0, 2)), np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("x", [[1.0], 1.0, [1.0, 2.0, 3.0]], ids=["one_coordinate", "scalar", "three"])
+    def test_point_of_another_dimension_rejected(self, x):
+        # broadcasting would measure such a point against every coordinate
+        with pytest.raises(ValueError, match=r"shape \(.*\) for an archive of shape \(2, 2\)"):
+            nearest_neighbor_distance(np.array([[0.0, 0.0], [3.0, 4.0]]), x)
+
 
 class TestRunConfig:
     def test_design_must_fit_in_budget(self):
